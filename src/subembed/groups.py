@@ -3,11 +3,14 @@
 Every element is a row of 0-based images; downstream code works with row
 indices only. Index 0 is always the identity and the indexing is the
 breadth-first discovery order from the generators, so it is reproducible.
+
+Products are read from a Cayley table of element indices, built on the
+first multiplication. Image rows are mapped back to indices through sorted
+hash keys of their images on a base (a point set whose images determine
+the element), confirmed by comparing whole rows.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,6 +19,9 @@ from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 10000
 
+# odd multiplier of the base-image hash (arithmetic wraps modulo 2**64)
+_KEY_MULT = np.uint64(0x9E3779B97F4A7C15)
+
 
 class FiniteGroup:
     """A finite permutation group with a full element table.
@@ -23,6 +29,14 @@ class FiniteGroup:
     Construct through :func:`generate_group`. Instances are immutable after
     construction; the lazily filled caches are idempotent, so sharing a group
     between threads is safe.
+
+    The Cayley table (:attr:`table`) holds order² entries in the smallest
+    unsigned dtype that fits an index: one byte each up to order 256, two up
+    to 65536, so 2n² bytes (7 MB at order 1875, 200 MB at the default order
+    cap). It is built on first use, not at construction, so groups that never
+    multiply cost nothing. Under ``jobs > 1`` two threads may both build it
+    on first use; each fills a private array from the same rows and then
+    stores it, so either result is the same table.
     """
 
     def __init__(self, degree, rows, gen_indices, generators, bfs_edges, name=None):
@@ -33,7 +47,11 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.bfs_edges = bfs_edges  # bfs_edges[i] = (parent index, generator position)
         self.name = name
-        self._row_index = {r.tobytes(): i for i, r in enumerate(rows)}
+        self._base = _choose_base(rows)
+        keys = _base_keys(rows[:, self._base])
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
+        self._table = None
         self._inv = None
         self._orders = None
         self._classes = None
@@ -61,45 +79,64 @@ class FiniteGroup:
         if perm.degree != self.degree:
             raise ValueError("degree mismatch")
         row = np.asarray([i - 1 for i in perm.images], dtype=np.int32)
-        key = row.tobytes()
-        if key not in self._row_index:
-            raise KeyError(f"permutation {perm} is not an element of this group")
-        return self._row_index[key]
+        try:
+            return int(self.lookup_rows(row[None, :])[0])
+        except KeyError:
+            raise KeyError(f"permutation {perm} is not an element of this group") from None
 
     def lookup_rows(self, rows2d: np.ndarray) -> np.ndarray:
-        """Map image rows back to element indices."""
-        idx = self._row_index
-        rows2d = np.ascontiguousarray(rows2d, dtype=np.int32)
-        return np.fromiter(
-            (idx[r.tobytes()] for r in rows2d), dtype=np.int64, count=len(rows2d)
-        )
+        """Map image rows back to element indices.
+
+        Raises :class:`KeyError` when a row is not an element of the group.
+        """
+        rows2d = np.asarray(rows2d)
+        keys = _base_keys(rows2d[:, self._base])
+        pos = np.searchsorted(self._sorted_keys, keys)
+        np.minimum(pos, self.order - 1, out=pos)
+        idx = self._key_order[pos]
+        found = self._sorted_keys[pos] == keys
+        found &= (self.rows[idx] == rows2d).all(axis=1)
+        if not found.all():
+            raise KeyError("row is not an element of this group")
+        return idx
 
     # -- multiplication (compose left to right: (a*b)(x) = b(a(x))) ------
 
+    @property
+    def table(self) -> np.ndarray:
+        """The Cayley table: ``table[i, j]`` is the index of i*j."""
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
+    def _build_table(self) -> np.ndarray:
+        # column-major, so that column j (x*j for every x) is contiguous
+        n = self.order
+        table = np.empty((n, n), dtype=np.min_scalar_type(n - 1), order="F")
+        table[:, 0] = np.arange(n)
+        for g in self.gen_indices:
+            table[:, g] = self.lookup_rows(self.rows[g][self.rows])
+        # x*j = (x*parent)*gen along the BFS tree; parents come first
+        for j in range(1, n):
+            parent, gpos = self.bfs_edges[j]
+            table[:, j] = table[:, self.gen_indices[gpos]][table[:, parent]]
+        return table
+
     def mult(self, i: int, j: int) -> int:
-        row = self.rows[j][self.rows[i]]
-        return self._row_index[row.tobytes()]
+        return int(self.table[i, j])
 
     def mult_many(self, idxs: np.ndarray, j: int) -> np.ndarray:
         """Indices of x*j for every x in ``idxs``."""
-        if len(idxs) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.lookup_rows(self.rows[j][self.rows[idxs]])
+        return self.table[:, j][idxs]
 
     def mult_by_many(self, i: int, idxs: np.ndarray) -> np.ndarray:
         """Indices of i*x for every x in ``idxs``."""
-        if len(idxs) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.lookup_rows(self.rows[idxs][:, self.rows[i]])
+        return self.table[i, idxs]
 
     @property
     def inv(self) -> np.ndarray:
         if self._inv is None:
-            order, degree = self.rows.shape
-            inv_rows = np.empty_like(self.rows)
-            ar = np.broadcast_to(np.arange(degree, dtype=np.int32), self.rows.shape)
-            np.put_along_axis(inv_rows, self.rows, ar, axis=1)
-            self._inv = self.lookup_rows(inv_rows)
+            self._inv = self.table.argmin(axis=1)  # i*j is 0 only at j = i^-1
         return self._inv
 
     def inverse(self, i: int) -> int:
@@ -123,23 +160,18 @@ class FiniteGroup:
 
     def conj_by_all(self, h: int) -> np.ndarray:
         """Indices of h^g for every g, as an array indexed by g."""
-        table = self._conj_tables.get(h)
-        if table is None:
-            inv_rows = self.rows[self.inv]
-            c1 = self.rows[h][inv_rows]  # c1[g,x] = h(g^-1(x))
-            c2 = np.take_along_axis(self.rows, c1, axis=1)  # g(h(g^-1(x)))
-            table = self.lookup_rows(c2)
-            self._conj_tables[h] = table
-        return table
+        out = self._conj_tables.get(h)
+        if out is None:
+            table = self.table
+            g_inv_h = table[:, h][self.inv]
+            out = table[g_inv_h, np.arange(self.order)]
+            self._conj_tables[h] = out
+        return out
 
     def conj_set(self, idxs: np.ndarray, g: int) -> np.ndarray:
         """Indices of x^g for every x in ``idxs``."""
-        if len(idxs) == 0:
-            return np.zeros(0, dtype=np.int64)
-        ginv_row = self.rows[self.inverse(g)]
-        c1 = self.rows[idxs][:, ginv_row]
-        c2 = self.rows[g][c1]
-        return self.lookup_rows(c2)
+        table = self.table
+        return table[:, g][table[self.inverse(g), idxs]]
 
     def commutator(self, a: int, b: int) -> int:
         return self.mult(self.mult(self.inverse(a), self.inverse(b)), self.mult(a, b))
@@ -149,9 +181,19 @@ class FiniteGroup:
     @property
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            orders = np.empty(self.order, dtype=np.int64)
-            for i, row in enumerate(self.rows):
-                orders[i] = _order_from_row(row)
+            # walk every x through x, x^2, x^3, ... until it reaches 1
+            table = self.table
+            orders = np.ones(self.order, dtype=np.int64)
+            live = np.arange(1, self.order)
+            power = live.copy()
+            k = 1
+            while len(live):
+                k += 1
+                power = table[power, live]
+                done = power == 0
+                orders[live[done]] = k
+                live = live[~done]
+                power = power[~done]
             self._orders = orders
         return self._orders
 
@@ -185,20 +227,33 @@ class FiniteGroup:
         return classes
 
 
-def _order_from_row(row: np.ndarray) -> int:
-    seen = np.zeros(len(row), dtype=bool)
-    result = 1
-    for start in range(len(row)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = row[x]
-            length += 1
-        result = math.lcm(result, length)
-    return result
+def _base_keys(base_images: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each row of base images."""
+    keys = np.zeros(len(base_images), dtype=np.uint64)
+    for column in base_images.T:
+        keys *= _KEY_MULT
+        keys += column.astype(np.uint64)
+    return keys
+
+
+def _choose_base(rows: np.ndarray) -> list[int]:
+    """Points, taken greedily in order, whose image keys tell all rows apart."""
+    n = len(rows)
+    base: list[int] = []
+    keys = np.zeros(n, dtype=np.uint64)
+    distinct = 1
+    for point in range(rows.shape[1]):
+        if distinct == n:
+            break
+        cand = keys * _KEY_MULT + rows[:, point].astype(np.uint64)
+        ordered = np.sort(cand)
+        count = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        if count > distinct:
+            base.append(point)
+            keys, distinct = cand, count
+    if distinct < n:
+        raise RuntimeError("base-image keys collide; rows are not distinct")
+    return base
 
 
 def generate_group(
@@ -242,25 +297,31 @@ def generate_group(
                     rows.append(row)
         frontier = next_frontier
 
-    table = np.stack(rows)
     gen_indices = [index[r.tobytes()] for r in gen_rows]
-    return FiniteGroup(degree, table, gen_indices, gens, edges, name=name)
+    return FiniteGroup(degree, np.stack(rows), gen_indices, gens, edges, name=name)
 
 
 def closure_indices(group: FiniteGroup, gen_idxs) -> np.ndarray:
-    """Element indices of <gens> inside ``group``, in BFS discovery order."""
-    members = {0}
-    out = [0]
-    frontier = np.asarray([0], dtype=np.int64)
-    gen_idxs = [int(g) for g in gen_idxs]
+    """Element indices of <gens> inside ``group``, sorted ascending."""
+    member = np.zeros(group.order, dtype=bool)
+    member[0] = True
+    return close_members(group, member, gen_idxs).nonzero()[0]
+
+
+def close_members(group: FiniteGroup, member: np.ndarray, gen_idxs) -> np.ndarray:
+    """Grow the boolean ``member`` in place to its closure under right
+    multiplication by the generators, and return it.
+
+    Started from a subgroup's members (or just the identity) this gives the
+    subgroup generated by them and the generators.
+    """
+    gens = np.asarray(gen_idxs, dtype=np.intp)
+    table = group.table
+    frontier = member.nonzero()[0]
     while len(frontier):
-        new = []
-        for g in gen_idxs:
-            for x in group.mult_many(frontier, g):
-                x = int(x)
-                if x not in members:
-                    members.add(x)
-                    new.append(x)
-        out.extend(new)
-        frontier = np.asarray(new, dtype=np.int64)
-    return np.asarray(out, dtype=np.int64)
+        reached = np.zeros(len(member), dtype=bool)
+        reached[table[frontier[:, None], gens]] = True
+        reached &= ~member
+        member |= reached
+        frontier = reached.nonzero()[0]
+    return member

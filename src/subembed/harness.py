@@ -76,15 +76,25 @@ class TheoremInstance:
 
 
 def maximal_subgroup_pool(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
-    return p_group_maximal_subgroups(p_subgroup, p)
+    cache = p_subgroup.group.scratch("maximal_pool")
+    key = (p_subgroup.mask, p)
+    got = cache.get(key)
+    if got is None:
+        got = cache.setdefault(key, tuple(p_group_maximal_subgroups(p_subgroup, p)))
+    return list(got)
 
 
 def cyclic_pool(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
     """Cyclic subgroups of prime order, plus order 4 for a non-abelian 2-group."""
-    pool = cyclic_subgroups_of_order(p_subgroup, p)
-    if p == 2 and p_subgroup.order > 1 and not is_abelian_subgroup(p_subgroup):
-        pool = pool + cyclic_subgroups_of_order(p_subgroup, 4)
-    return pool
+    cache = p_subgroup.group.scratch("cyclic_pool")
+    key = (p_subgroup.mask, p)
+    got = cache.get(key)
+    if got is None:
+        pool = cyclic_subgroups_of_order(p_subgroup, p)
+        if p == 2 and p_subgroup.order > 1 and not is_abelian_subgroup(p_subgroup):
+            pool = pool + cyclic_subgroups_of_order(p_subgroup, 4)
+        got = cache.setdefault(key, tuple(pool))
+    return list(got)
 
 
 def maximals_branch(group: FiniteGroup, p_subgroup: Subgroup, p: int) -> bool:

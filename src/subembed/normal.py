@@ -231,7 +231,7 @@ class QuotientMap:
     def image_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.group is not self.source:
             raise ValueError("subgroup does not live in the quotient source")
-        return Subgroup.from_indices(self.image, set(self.element_map[sub.index_array]))
+        return Subgroup.from_indices(self.image, self.element_map[sub.index_array])
 
     def preimage_subgroup(self, sub: Subgroup) -> Subgroup:
         if sub.group is not self.image:

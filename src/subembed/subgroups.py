@@ -7,14 +7,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup, closure_indices
+from .groups import FiniteGroup, close_members, closure_indices
 
 
 def mask_from_indices(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
+    indices = np.asarray(indices, dtype=np.intp)
+    if len(indices) == 0:
+        return 0
+    member = np.zeros(int(indices.max()) + 1, dtype=bool)
+    member[indices] = True
+    return mask_from_bool(member)
+
+
+def mask_from_bool(member: np.ndarray) -> int:
+    """The bitmask whose bit i is ``member[i]``."""
+    packed = np.packbits(member, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
@@ -94,13 +102,15 @@ class Subgroup:
         cache = self.group.scratch("small_gens")
         got = cache.get(self.mask)
         if got is None:
+            # each pick extends the closure of the earlier picks
             gens: list[int] = []
-            have = 1
+            have = np.zeros(self.group.order, dtype=bool)
+            have[0] = True
             for i in self.indices:
-                if not have >> i & 1:
+                if not have[i]:
                     gens.append(i)
-                    have = mask_from_indices(closure_indices(self.group, gens))
-            assert have == self.mask
+                    close_members(self.group, have, gens)
+            assert mask_from_bool(have) == self.mask
             got = cache.setdefault(self.mask, tuple(gens))
         return got
 
@@ -123,14 +133,7 @@ def span(group: FiniteGroup, seed) -> Subgroup:
     for i in seed:
         if not 0 <= i < group.order:
             raise ValueError(f"element index {i} out of range")
-    # reduce the seed to a small generating set before the closure
-    gens: list[int] = []
-    have = 1
-    for i in seed:
-        if not have >> i & 1:
-            gens.append(i)
-            have = mask_from_indices(closure_indices(group, gens))
-    return Subgroup(group, have)
+    return Subgroup(group, mask_from_indices(closure_indices(group, seed)))
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -152,25 +155,19 @@ def product_mask(a: Subgroup, b: Subgroup) -> int:
         return b.mask
     if b.is_subset_of(a):
         return a.mask
+    covered = np.zeros(group.order, dtype=bool)
     if a.order > b.order:
         # AB = union over y in b of (a)y
-        result = 0
         arr = a.index_array
         for y in b.indices:
-            first = group.mult(int(arr[0]), y)
-            if result >> first & 1:
-                continue
-            result |= mask_from_indices(group.mult_many(arr, y))
-        out = result
+            if not covered[group.mult(int(arr[0]), y)]:
+                covered[group.mult_many(arr, y)] = True
     else:
-        result = 0
         arr = b.index_array
         for x in a.indices:
-            first = group.mult(x, int(arr[0]))
-            if result >> first & 1:
-                continue
-            result |= mask_from_indices(group.mult_by_many(x, arr))
-        out = result
+            if not covered[group.mult(x, int(arr[0]))]:
+                covered[group.mult_by_many(x, arr)] = True
+    out = mask_from_bool(covered)
     expected = a.order * b.order // (a.mask & b.mask).bit_count()
     assert out.bit_count() == expected, "product size violates |A||B|/|A∩B|"
     return out
@@ -200,7 +197,7 @@ def normalizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
         member = h.member_bool
         for s in h.gens:
             ok &= member[group.conj_by_all(s)]
-        got = cache.setdefault(h.mask, mask_from_indices(np.nonzero(ok)[0]))
+        got = cache.setdefault(h.mask, mask_from_bool(ok))
     return Subgroup(group, got)
 
 
@@ -211,7 +208,7 @@ def centralizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
         ok = np.ones(group.order, dtype=bool)
         for s in h.gens:
             ok &= group.conj_by_all(s) == s
-        got = cache.setdefault(h.mask, mask_from_indices(np.nonzero(ok)[0]))
+        got = cache.setdefault(h.mask, mask_from_bool(ok))
     return Subgroup(group, got)
 
 

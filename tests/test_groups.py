@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,3 +114,112 @@ def test_index_of_rejects_foreign_permutation():
     a4 = se.build(se.Alt(4))
     with pytest.raises(KeyError):
         a4.index_of(parse_cycles("(1 2)", 4))
+
+
+# -- the Cayley table -------------------------------------------------------
+
+
+def _assert_table_rows(group, row_indices):
+    index = {r.tobytes(): k for k, r in enumerate(group.rows)}
+    for i in row_indices:
+        products = group.rows[:, group.rows[i]]  # products[j] = rows[j][rows[i]]
+        expected = [index[r.tobytes()] for r in products]
+        assert group.table[i].tolist() == expected
+
+
+def test_table_matches_row_composition():
+    groups = [g for _, g in se.builtin_corpus(48)] + [se.build(se.Sym(6))]
+    for group in groups:
+        _assert_table_rows(group, range(group.order))
+
+
+def test_table_matches_row_composition_1875(group1875):
+    rng = np.random.default_rng(0)
+    _assert_table_rows(group1875, rng.choice(group1875.order, 12, replace=False))
+
+
+def test_table_is_built_lazily():
+    gens = [parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(1 2 3)", 5)]
+    group = generate_group(gens, 5)
+    assert group._table is None
+    group.mult(1, 2)
+    assert group._table is not None
+
+
+def test_table_dtype_fits_the_order():
+    c2_8 = se.build(se.ElemAbelian(2, 8))
+    assert c2_8.order == 256 and c2_8.table.dtype == np.uint8
+    c257 = se.build(se.Cyclic(257))
+    assert c257.order == 257 and c257.table.dtype == np.uint16
+    assert c257.element_order(1) == 257
+
+
+def _cycle_length_order(images):
+    seen = set()
+    result = 1
+    for start in range(1, len(images) + 1):
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = images[x - 1]
+            length += 1
+        if length:
+            result = math.lcm(result, length)
+    return result
+
+
+def test_element_orders_match_cycle_lengths():
+    for expr in (se.Sym(5), se.SL23(), se.Dihedral(16), se.ElemAbelian(3, 3)):
+        group = se.build(expr)
+        expected = [_cycle_length_order(group.perm(i).images) for i in range(group.order)]
+        assert group.element_orders.tolist() == expected
+
+
+def test_lookup_rows_rejects_rows_outside_the_group():
+    a5 = se.build(se.Alt(5))
+    assert a5.lookup_rows(a5.rows).tolist() == list(range(a5.order))
+    for i in range(a5.order):
+        odd = a5.rows[i].copy()
+        odd[[3, 4]] = odd[[4, 3]]
+        with pytest.raises(KeyError):
+            a5.lookup_rows(odd[None, :])
+
+
+def test_engine_does_not_import_numpy_ma():
+    # numpy.ma costs about 1.6 MB of peak memory when first imported
+    code = (
+        "import sys\n"
+        "import subembed as se\n"
+        "g = se.build(se.Sym(5))\n"
+        "g.mult(3, 4); g.element_orders; g.conjugacy_classes()\n"
+        "se.normal_lattice(g); se.span(g, [1, 2]).gens\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def test_concurrent_first_build_gives_one_table():
+    gens = [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)]
+    reference = generate_group(gens, 5).table
+    group = generate_group(gens, 5)
+    seen = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: seen.append(group.table.copy()))
+            for _ in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(seen) == 6
+    for table in seen + [group.table]:
+        assert np.array_equal(table, reference)

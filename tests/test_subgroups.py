@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -291,3 +292,51 @@ def test_p_part_property(n, p):
     assert n % pp == 0
     assert (n // pp) % p != 0
     assert pp == p ** (max(0, int(math.log(pp, p) + 0.5)))
+
+
+def _greedy_closure(group, seed):
+    """Reference: the seed reduced greedily, each prefix closed from scratch
+    by breadth-first multiplication. Returns (picks, member set)."""
+    picks: list[int] = []
+    have = {0}
+    for i in seed:
+        if i in have:
+            continue
+        picks.append(i)
+        have = {0}
+        frontier = [0]
+        while frontier:
+            new = []
+            for x in frontier:
+                for g in picks:
+                    y = group.mult(x, g)
+                    if y not in have:
+                        have.add(y)
+                        new.append(y)
+            frontier = new
+    return picks, have
+
+
+@given(st.data())
+def test_one_pass_span_matches_greedy_closure(data):
+    name = data.draw(st.sampled_from(["S4", "A5", "SL(2,3)", "D16", "C7:C3"]))
+    group = dict(se.builtin_corpus(400))[name]
+    seed = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    sub = se.span(group, seed)
+    _, have = _greedy_closure(group, seed)
+    assert set(sub.indices) == have
+    # Subgroup.gens keeps the greedy picks over the sorted member indices
+    picks, _ = _greedy_closure(group, sub.indices)
+    assert sub.gens == tuple(picks)
+
+
+def test_mask_helpers_round_trip():
+    from subembed.subgroups import indices_from_mask, mask_from_bool, mask_from_indices
+
+    for indices in ([], [0], [7, 8, 9], [0, 63, 64, 200], list(range(0, 1875, 7))):
+        mask = mask_from_indices(indices)
+        assert mask == sum(1 << i for i in indices)
+        assert indices_from_mask(mask) == tuple(indices)
+        member = np.zeros(1875, dtype=bool)
+        member[indices] = True
+        assert mask_from_bool(member) == mask
