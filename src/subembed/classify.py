@@ -24,6 +24,7 @@ from .subgroups import (
     derived_of_subgroup,
     is_prime,
     lower_central_series,
+    normalizer,
     p_part,
     prime_divisors,
     product_with_normal,
@@ -44,37 +45,34 @@ def sylow(group: FiniteGroup, p: int) -> Subgroup:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cache = group.scratch("sylow")
-    got = cache.get(p)
-    if got is not None:
-        return got
-    target = p_part(group.order, p)
-    current = Subgroup.trivial(group)
-    if target > 1:
-        orders = group.element_orders
-        first = next(i for i in range(group.order) if int(orders[i]) == p)
-        current = span(group, [first])
-        from .subgroups import normalizer  # local import to avoid cycle noise
+    return group.memo("sylow", p, lambda: _grow_sylow(group, p))
 
-        while current.order < target:
-            norm = normalizer(group, current)
-            grown = None
-            for i in norm.indices:
-                o = int(orders[i])
-                if o > 1 and p_part(o, p) == o and not current.contains_index(i):
-                    grown = span(group, set(current.gens) | {i})
-                    break
-            assert grown is not None, "proper p-subgroup must grow in its normalizer"
-            current = grown
-        assert current.order == target
-    return cache.setdefault(p, current)
+
+def _grow_sylow(group: FiniteGroup, p: int) -> Subgroup:
+    target = p_part(group.order, p)
+    if target == 1:
+        return Subgroup.trivial(group)
+    orders = group.element_orders
+    first = next(i for i in range(group.order) if int(orders[i]) == p)
+    current = span(group, [first])
+    while current.order < target:
+        norm = normalizer(group, current)
+        grown = None
+        for i in norm.indices:
+            o = int(orders[i])
+            if o > 1 and p_part(o, p) == o and not current.contains_index(i):
+                grown = span(group, set(current.gens) | {i})
+                break
+        assert grown is not None, "proper p-subgroup must grow in its normalizer"
+        current = grown
+    assert current.order == target
+    return current
 
 
 def sylow_conjugates(group: FiniteGroup, p: int) -> list[Subgroup]:
     """All Sylow p-subgroups, as the conjugation orbit of ``sylow(group, p)``."""
-    cache = group.scratch("sylow_orbit")
-    got = cache.get(p)
-    if got is None:
+
+    def orbit() -> list[Subgroup]:
         base = sylow(group, p)
         seen = {base.mask}
         out = [base]
@@ -89,12 +87,15 @@ def sylow_conjugates(group: FiniteGroup, p: int) -> list[Subgroup]:
                         out.append(conj)
                         nxt.append(conj)
             frontier = nxt
-        got = cache.setdefault(p, out)
-    return got
+        return out
+
+    return group.memo("sylow_orbit", p, orbit)
 
 
 def sylow_of_subgroup(sub: Subgroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of ``sub``, as a subgroup of the parent group."""
+    if p_part(sub.order, p) == sub.order:
+        return sub  # a p-group is its own Sylow p-subgroup
     child, to_parent, _ = subgroup_as_group(sub)
     return pull_to_parent(sylow(child, p), to_parent, sub.group)
 
@@ -105,15 +106,7 @@ def radical_p(group: FiniteGroup, p: int) -> Subgroup:
         return Subgroup.trivial(group)
     if p_part(group.order, p) == group.order:
         return Subgroup.whole(group)
-    lat = normal_lattice(group)
-    best = lat.nodes[0]
-    for node in lat.nodes:
-        if p_part(node.order, p) == node.order and node.order > best.order:
-            best = node
-    for node in lat.nodes:
-        if p_part(node.order, p) == node.order:
-            assert node.is_subset_of(best)
-    return best
+    return _largest_normal(group, lambda order: p_part(order, p) == order)
 
 
 def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
@@ -122,14 +115,16 @@ def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
         return Subgroup.whole(group)
     if p_part(group.order, p) == group.order:
         return Subgroup.trivial(group)
-    lat = normal_lattice(group)
-    best = lat.nodes[0]
-    for node in lat.nodes:
-        if node.order % p and node.order > best.order:
-            best = node
-    for node in lat.nodes:
-        if node.order % p:
-            assert node.is_subset_of(best)
+    return _largest_normal(group, lambda order: order % p != 0)
+
+
+def _largest_normal(group: FiniteGroup, passes) -> Subgroup:
+    """The largest lattice node whose order passes the test, checked to
+    contain every other passing node (so it is the unique largest one)."""
+    passing = [n for n in normal_lattice(group).nodes if passes(n.order)]
+    best = max(passing, key=lambda n: n.order)
+    for node in passing:
+        assert node.is_subset_of(best)
     return best
 
 
@@ -255,24 +250,23 @@ def u_hypercentre(group: FiniteGroup) -> Subgroup:
     a chief factor of composite order never is, being a minimal normal
     subgroup of composite order in the would-be supersoluble product.
     """
-    cache = group.scratch("u_hypercentre")
-    got = cache.get("value")
-    if got is not None:
-        return got
-    current = Subgroup.trivial(group)
-    while True:
-        qmap = quotient(group, current)
-        if qmap.image.order == 1:
-            break
-        lat = normal_lattice(qmap.image)
-        atoms = [lat.nodes[j] for j in lat.up[0] if is_prime(lat.nodes[j].order)]
-        if not atoms:
-            break
-        joined = Subgroup.trivial(qmap.image)
-        for atom in atoms:
-            joined = product_with_normal(joined, atom)
-        current = qmap.preimage_subgroup(joined)
-    return cache.setdefault("value", current)
+
+    def layers() -> Subgroup:
+        current = Subgroup.trivial(group)
+        while True:
+            qmap = quotient(group, current)
+            if qmap.image.order == 1:
+                return current
+            lat = normal_lattice(qmap.image)
+            atoms = [lat.nodes[j] for j in lat.up[0] if is_prime(lat.nodes[j].order)]
+            if not atoms:
+                return current
+            joined = Subgroup.trivial(qmap.image)
+            for atom in atoms:
+                joined = product_with_normal(joined, atom)
+            current = qmap.preimage_subgroup(joined)
+
+    return group.memo("u_hypercentre", "value", layers)
 
 
 def f_star(group: FiniteGroup) -> Subgroup:
@@ -356,12 +350,12 @@ class ClassReport:
 
 
 def class_report(group: FiniteGroup) -> ClassReport:
+    return group.memo("class_report", "report", lambda: _build_report(group))
+
+
+def _build_report(group: FiniteGroup) -> ClassReport:
     from .subgroups import center
 
-    cache = group.scratch("class_report")
-    got = cache.get("report")
-    if got is not None:
-        return got
     primes = {}
     for p in primes_of_group(group):
         primes[p] = PrimeReport(
@@ -374,7 +368,7 @@ def class_report(group: FiniteGroup) -> ClassReport:
             o_p_prime=radical_p_prime(group, p),
             f_p=fitting_p(group, p),
         )
-    report = ClassReport(
+    return ClassReport(
         order=group.order,
         abelian=is_abelian(group),
         nilpotent=is_nilpotent(group),
@@ -388,4 +382,3 @@ def class_report(group: FiniteGroup) -> ClassReport:
         nilpotent_residual=nilpotent_residual(group),
         primes=primes,
     )
-    return cache.setdefault("report", report)

@@ -1,11 +1,14 @@
 """Subgroup-embedding predicates over chief series.
 
-The existential predicates (some chief series works) are decided as
-single-source reachability in the cover-pair DAG of the normal lattice:
-the per-factor conditions depend only on the cover pair, and chief series
-are exactly the maximal chains, so a path from the trivial node to the
-top exists iff an admissible chief series does. This avoids enumerating
-chains, which is exponential for elementary abelian groups.
+Each chief-series predicate is a per-factor test passed to one of two
+evaluators. "Some chief series works" (``partial_s_pi``, ``partial_pi``) is
+decided as single-source reachability in the cover-pair DAG of the normal
+lattice: the per-factor conditions depend only on the cover pair, and chief
+series are exactly the maximal chains, so a path from the trivial node to
+the top exists iff an admissible chief series does. This avoids enumerating
+chains, which is exponential for elementary abelian groups. "Every chief
+factor works" (``cap``, ``gen_cap``) scans the cover pairs and reports the
+first one that fails.
 """
 
 from __future__ import annotations
@@ -60,15 +63,18 @@ def _normalizer_index_is_pi(group, lat, x: Subgroup, pi) -> bool:
     return is_pi_number(group.order // normalizer(group, x).order, pi)
 
 
-def _search_dag(group, lat: NormalLattice, edge_ok) -> Verdict:
-    """Reachability from the trivial node to the top along passing cover pairs."""
+def _some_chief_series(group: FiniteGroup, edge_ok) -> Verdict:
+    """Some chief series passes ``edge_ok(lat, k, l)`` on every factor: a
+    reachability search from the trivial node to the top along passing
+    cover pairs, returning the first path found as the witness."""
+    lat = normal_lattice(group)
     parent = {0: None}
     frontier = [0]
     while frontier:
         nxt = []
         for node in frontier:
             for upper in lat.up[node]:
-                if upper in parent or not edge_ok(node, upper):
+                if upper in parent or not edge_ok(lat, node, upper):
                     continue
                 parent[upper] = node
                 if upper == lat.top:
@@ -83,6 +89,17 @@ def _search_dag(group, lat: NormalLattice, edge_ok) -> Verdict:
     return Verdict(False)
 
 
+def _every_chief_factor(group: FiniteGroup, refute) -> Verdict:
+    """Every chief factor passes: ``refute(lat, k, l)`` returns None for a
+    passing cover pair, else the reason the first failing one fails."""
+    lat = normal_lattice(group)
+    for k, l in lat.covers:
+        reason = refute(lat, k, l)
+        if reason is not None:
+            return Verdict(False, refutation=Refutation(k, l, reason))
+    return Verdict(True)
+
+
 def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     """True iff some chief series of G has, on every factor L/K, either
     (H∩L)K/K a Sylow p-subgroup of L/K, or |G : N_G((H∩L)K)| a p-number.
@@ -93,59 +110,44 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
         raise ValueError(f"{p} is not prime")
     if p_part(h.order, p) != h.order:
         raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
-    cache = group.scratch("partial_s_pi")
-    got = cache.get((h.mask, p))
-    if got is not None:
-        return got
-    lat = normal_lattice(group)
 
-    def edge_ok(k: int, l: int) -> bool:
+    def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
         x = _section_subgroup(group, h, lat, k, l)
         factor = lat.nodes[l].order // lat.nodes[k].order
         if x.order // lat.nodes[k].order == p_part(factor, p):
             return True  # X/K is a p-group, so full p-part means Sylow
         return _normalizer_index_is_pi(group, lat, x, (p,))
 
-    return cache.setdefault((h.mask, p), _search_dag(group, lat, edge_ok))
+    return group.memo(
+        "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, edge_ok)
+    )
 
 
 def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     """True iff some chief series has, on every factor, |G : N_G((H∩L)K)| a
     pi((H∩L)K/K)-number. Only 1 is an empty-pi number, which is harmless:
     an avoided factor forces X = K, normal of index 1."""
-    cache = group.scratch("partial_pi")
-    got = cache.get(h.mask)
-    if got is not None:
-        return got
-    lat = normal_lattice(group)
 
-    def edge_ok(k: int, l: int) -> bool:
+    def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
         x = _section_subgroup(group, h, lat, k, l)
         pi = prime_divisors(x.order // lat.nodes[k].order)
         return _normalizer_index_is_pi(group, lat, x, pi)
 
-    return cache.setdefault(h.mask, _search_dag(group, lat, edge_ok))
+    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, edge_ok))
 
 
 def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     """Cover-avoidance: every chief factor L/K has L <= HK or H∩L <= K."""
-    cache = group.scratch("cap")
-    got = cache.get(h.mask)
-    if got is not None:
-        return got
-    lat = normal_lattice(group)
-    verdict = Verdict(True)
-    for k, l in lat.covers:
+
+    def refute(lat: NormalLattice, k: int, l: int) -> str | None:
         low, high = lat.nodes[k], lat.nodes[l]
         if intersect(h, high).is_subset_of(low):
-            continue  # avoided
+            return None  # avoided
         if high.mask & ~product_mask(h, low) == 0:
-            continue  # covered
-        verdict = Verdict(
-            False, refutation=Refutation(k, l, "neither covers nor avoids")
-        )
-        break
-    return cache.setdefault(h.mask, verdict)
+            return None  # covered
+        return "neither covers nor avoids"
+
+    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, refute))
 
 
 def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -156,41 +158,26 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     A chief factor is abelian exactly when its order is a prime power, so
     the two non-avoided branches are distinguished by the factor order.
     """
-    cache = group.scratch("gen_cap")
-    got = cache.get(h.mask)
-    if got is not None:
-        return got
-    lat = normal_lattice(group)
-    verdict = Verdict(True)
-    for k, l in lat.covers:
+
+    def refute(lat: NormalLattice, k: int, l: int) -> str | None:
         low, high = lat.nodes[k], lat.nodes[l]
         if intersect(h, high).is_subset_of(low):
-            continue
+            return None
         x = _section_subgroup(group, h, lat, k, l)
         factor = high.order // low.order
         factor_primes = prime_divisors(factor)
         if len(factor_primes) == 1:
             q = factor_primes[0]
             if _normalizer_index_is_pi(group, lat, x, (q,)):
-                continue
-            verdict = Verdict(
-                False,
-                refutation=Refutation(
-                    k, l, f"|G : N_G((H∩L)K)| is not a {q}-number"
-                ),
-            )
-            break
+                return None
+            return f"|G : N_G((H∩L)K)| is not a {q}-number"
         cofactor = high.order // x.order
         bad = [q for q in prime_divisors(x.order // low.order) if cofactor % q == 0]
         if bad:
-            verdict = Verdict(
-                False,
-                refutation=Refutation(
-                    k, l, f"|L : (H∩L)K| is divisible by {bad[0]}"
-                ),
-            )
-            break
-    return cache.setdefault(h.mask, verdict)
+            return f"|L : (H∩L)K| is divisible by {bad[0]}"
+        return None
+
+    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, refute))
 
 
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
@@ -198,22 +185,18 @@ def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
     conjugates of every Sylow subgroup)."""
     from .classify import primes_of_group, sylow_conjugates
 
-    cache = group.scratch("s_quasinormal")
-    got = cache.get(h.mask)
-    if got is not None:
-        return got
-    result = True
-    if not h.is_normal():
-        for p in primes_of_group(group):
-            for s in sylow_conjugates(group, p):
-                if h.is_subset_of(s) or s.is_subset_of(h):
-                    continue
-                if product_mask(h, s) != product_mask(s, h):
-                    result = False
-                    break
-            if not result:
-                break
-    return cache.setdefault(h.mask, result)
+    def permutes() -> bool:
+        if h.is_normal():
+            return True
+        return all(
+            h.is_subset_of(s)
+            or s.is_subset_of(h)
+            or product_mask(h, s) == product_mask(s, h)
+            for p in primes_of_group(group)
+            for s in sylow_conjugates(group, p)
+        )
+
+    return group.memo("s_quasinormal", h.mask, permutes)
 
 
 def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
@@ -229,31 +212,26 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     from .classify import sylow_of_subgroup
     from .subgroups import span
 
-    cache = group.scratch("s_qn_embedded")
-    got = cache.get(h.mask)
-    if got is not None:
-        return got
-    lat = normal_lattice(group)
-    result = True
-    for q in prime_divisors(h.order):
-        hq = sylow_of_subgroup(h, q)
-        candidates = {node.mask for node in lat.nodes}
-        for node in lat.nodes:
-            candidates.add(span(group, set(hq.gens) | set(node.gens)).mask)
-        found = False
-        for mask in sorted(candidates):
-            w = Subgroup(group, mask)
-            if not hq.is_subset_of(w):
-                continue
-            if p_part(w.order, q) != hq.order:
-                continue  # hq would not be Sylow in w
-            if s_quasinormal(group, w):
-                found = True
-                break
-        if not found:
-            result = False
-            break
-    return cache.setdefault(h.mask, result)
+    def search() -> bool:
+        lat = normal_lattice(group)
+        for q in prime_divisors(h.order):
+            hq = sylow_of_subgroup(h, q)
+            candidates = {node.mask for node in lat.nodes}
+            for node in lat.nodes:
+                candidates.add(span(group, set(hq.gens) | set(node.gens)).mask)
+            for mask in sorted(candidates):
+                w = Subgroup(group, mask)
+                if not hq.is_subset_of(w):
+                    continue
+                if p_part(w.order, q) != hq.order:
+                    continue  # hq would not be Sylow in w
+                if s_quasinormal(group, w):
+                    break
+            else:
+                return False
+        return True
+
+    return group.memo("s_qn_embedded", h.mask, search)
 
 
 def recheck_witness_partial_s_pi(

@@ -70,6 +70,21 @@ class FiniteGroup:
             table = self.cache.setdefault(section, {})
         return table
 
+    def memo(self, section: str, key, compute):
+        """The value stored under ``key`` in ``scratch(section)``, filled by
+        ``compute()`` on a miss.
+
+        Every per-group cache goes through here. Values are never None, and
+        fills are idempotent: if two threads race, the first stored value is
+        kept and both return it. Callers validate their inputs first, since
+        a hit skips ``compute``.
+        """
+        table = self.scratch(section)
+        got = table.get(key)
+        if got is None:
+            got = table.setdefault(key, compute())
+        return got
+
     # -- element access -------------------------------------------------
 
     def perm(self, i: int) -> Permutation:

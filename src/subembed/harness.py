@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 from . import __version__
 from .catalog import builtin_corpus
 from .classify import (
+    f_star,
+    fitting_p,
+    is_p_nilpotent,
     is_p_soluble,
     primes_of_group,
     radical_p_prime,
@@ -37,17 +40,7 @@ from .subgroups import (
     is_cyclic_subgroup,
     p_group_maximal_subgroups,
     p_part,
-)
-
-THEOREM_IDS = (
-    "prop-3.1",
-    "prop-3.2",
-    "prop-3.3",
-    "prop-3.4",
-    "prop-3.5",
-    "thm-1.5",
-    "thm-1.6",
-    "prop-4.1",
+    prime_divisors,
 )
 
 DEFAULT_INSTANCE_CAP = 500
@@ -76,25 +69,22 @@ class TheoremInstance:
 
 
 def maximal_subgroup_pool(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
-    cache = p_subgroup.group.scratch("maximal_pool")
-    key = (p_subgroup.mask, p)
-    got = cache.get(key)
-    if got is None:
-        got = cache.setdefault(key, tuple(p_group_maximal_subgroups(p_subgroup, p)))
-    return list(got)
+    def collect() -> tuple[Subgroup, ...]:
+        return tuple(p_group_maximal_subgroups(p_subgroup, p))
+
+    return list(p_subgroup.group.memo("maximal_pool", (p_subgroup.mask, p), collect))
 
 
 def cyclic_pool(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
     """Cyclic subgroups of prime order, plus order 4 for a non-abelian 2-group."""
-    cache = p_subgroup.group.scratch("cyclic_pool")
-    key = (p_subgroup.mask, p)
-    got = cache.get(key)
-    if got is None:
+
+    def collect() -> tuple[Subgroup, ...]:
         pool = cyclic_subgroups_of_order(p_subgroup, p)
         if p == 2 and p_subgroup.order > 1 and not is_abelian_subgroup(p_subgroup):
             pool = pool + cyclic_subgroups_of_order(p_subgroup, 4)
-        got = cache.setdefault(key, tuple(pool))
-    return list(got)
+        return tuple(pool)
+
+    return list(p_subgroup.group.memo("cyclic_pool", (p_subgroup.mask, p), collect))
 
 
 def maximals_branch(group: FiniteGroup, p_subgroup: Subgroup, p: int) -> bool:
@@ -140,9 +130,62 @@ def subgroup_is_p_soluble(sub: Subgroup, p: int) -> bool:
     return is_p_soluble(child, p)
 
 
-def _u_hypercentre_quotient_check(group: FiniteGroup, e: Subgroup, p: int):
-    """Conclusion shared by prop-3.5 and thm-1.6:
-    E/O_p'(E) lies in the supersoluble hypercentre of G/O_p'(E)."""
+# -- hypotheses: (group, bindings) -> bool ---------------------------------
+
+
+def either_branch(group: FiniteGroup, p_subgroup: Subgroup, p: int) -> bool:
+    return maximals_branch(group, p_subgroup, p) or cyclics_branch(group, p_subgroup, p)
+
+
+def on_sylow(name: str, branch):
+    """Hypothesis: ``branch`` holds for a Sylow p-subgroup of the bound ``name``."""
+
+    def hypothesis(group: FiniteGroup, b: dict) -> bool:
+        return branch(group, sylow_of_subgroup(b[name], b["p"]), b["p"])
+
+    return hypothesis
+
+
+def _noncyclic_sylows_of_x(group: FiniteGroup, b: dict) -> bool:
+    """thm-1.5: either branch holds for every non-cyclic Sylow subgroup of X."""
+    x = b["X"]
+    sylows = ((q, sylow_of_subgroup(x, q)) for q in prime_divisors(x.order))
+    return all(is_cyclic_subgroup(s) or either_branch(group, s, q) for q, s in sylows)
+
+
+PROP41_ITEMS = {
+    "gen-cap": lambda group, h: gen_cap(group, h).holds,
+    "partial-pi": lambda group, h: partial_pi(group, h).holds,
+    "s-quasinormal": s_quasinormal,
+}
+
+
+def _prop41_item_holds(group: FiniteGroup, b: dict) -> bool:
+    return PROP41_ITEMS[b["item"]](group, b["H"])
+
+
+# -- conclusions: (group, bindings) -> (holds, audit) -------------------------
+
+
+def in_z_u(name: str):
+    """Conclusion: the bound subgroup ``name`` lies in Z_U(G)."""
+
+    def conclusion(group: FiniteGroup, b: dict):
+        zu = u_hypercentre(group)
+        return b[name].is_subset_of(zu), {"z_u_order": zu.order}
+
+    return conclusion
+
+
+def _e_p_nilpotent(group: FiniteGroup, b: dict):
+    p, e = b["p"], b["E"]
+    child, _, _ = subgroup_as_group(e)
+    return is_p_nilpotent(child, p), {"sylow_order": p_part(e.order, p)}
+
+
+def _e_mod_o_p_prime_in_z_u(group: FiniteGroup, b: dict):
+    """E/O_p'(E) lies in the supersoluble hypercentre of G/O_p'(E)."""
+    p, e = b["p"], b["E"]
     o = subgroup_o_p_prime(e, p)
     if o.order == 1:
         zu = u_hypercentre(group)
@@ -157,14 +200,20 @@ def _u_hypercentre_quotient_check(group: FiniteGroup, e: Subgroup, p: int):
     }
 
 
-# -- theorem registry -------------------------------------------------------
+def _h_partial_s_pi(group: FiniteGroup, b: dict):
+    """H satisfies partial S-Π; the audit gives the witness's factor orders."""
+    verdict = partial_s_pi(group, b["H"], b["p"])
+    audit = {}
+    if verdict.witness is not None:
+        nodes = normal_lattice(group).nodes
+        audit["witness_factor_orders"] = [
+            nodes[hi].order // nodes[lo].order
+            for lo, hi in zip(verdict.witness, verdict.witness[1:])
+        ]
+    return verdict.holds, audit
 
 
-@dataclass(frozen=True)
-class Theorem:
-    id: str
-    enumerate: callable  # (group) -> iterator of payload dicts
-    evaluate: callable  # (group, payload) -> (hyp, concl | None, audit)
+# -- bindings: (group) -> iterator of payload dicts ---------------------------
 
 
 def _normal_p_subgroup_bindings(group: FiniteGroup):
@@ -173,22 +222,6 @@ def _normal_p_subgroup_bindings(group: FiniteGroup):
         for node in lat.nodes:
             if p_part(node.order, p) == node.order:
                 yield {"p": p, "P": node, "P_order": node.order}
-
-
-def _eval_prop31(group, payload):
-    p, sub = payload["p"], payload["P"]
-    if not maximals_branch(group, sub, p):
-        return False, None, {}
-    zu = u_hypercentre(group)
-    return True, sub.is_subset_of(zu), {"z_u_order": zu.order}
-
-
-def _eval_prop33(group, payload):
-    p, sub = payload["p"], payload["P"]
-    if not cyclics_branch(group, sub, p):
-        return False, None, {}
-    zu = u_hypercentre(group)
-    return True, sub.is_subset_of(zu), {"z_u_order": zu.order}
 
 
 def _coprime_normal_bindings(group: FiniteGroup):
@@ -200,28 +233,6 @@ def _coprime_normal_bindings(group: FiniteGroup):
                 yield {"p": p, "E": node, "E_order": node.order}
 
 
-def _eval_prop32(group, payload):
-    p, e = payload["p"], payload["E"]
-    syl = sylow_of_subgroup(e, p)
-    if not maximals_branch(group, syl, p):
-        return False, None, {}
-    from .classify import is_p_nilpotent
-
-    child, _, _ = subgroup_as_group(e)
-    return True, is_p_nilpotent(child, p), {"sylow_order": syl.order}
-
-
-def _eval_prop34(group, payload):
-    p, e = payload["p"], payload["E"]
-    syl = sylow_of_subgroup(e, p)
-    if not cyclics_branch(group, syl, p):
-        return False, None, {}
-    from .classify import is_p_nilpotent
-
-    child, _, _ = subgroup_as_group(e)
-    return True, is_p_nilpotent(child, p), {"sylow_order": syl.order}
-
-
 def _p_soluble_normal_bindings(group: FiniteGroup):
     lat = normal_lattice(group)
     for node in lat.nodes:
@@ -230,18 +241,7 @@ def _p_soluble_normal_bindings(group: FiniteGroup):
                 yield {"p": p, "E": node, "E_order": node.order}
 
 
-def _eval_prop35(group, payload):
-    p, e = payload["p"], payload["E"]
-    syl = sylow_of_subgroup(e, p)
-    if not (maximals_branch(group, syl, p) or cyclics_branch(group, syl, p)):
-        return False, None, {}
-    holds, audit = _u_hypercentre_quotient_check(group, e, p)
-    return True, holds, audit
-
-
 def _f_star_sandwich_bindings(group: FiniteGroup):
-    from .classify import f_star
-
     if group.order == 1:
         return  # matches the other theorems, which quantify over prime divisors
     lat = normal_lattice(group)
@@ -259,23 +259,7 @@ def _f_star_sandwich_bindings(group: FiniteGroup):
                 }
 
 
-def _eval_thm15(group, payload):
-    e, x = payload["E"], payload["X"]
-    for q in primes_of_group(group):
-        if x.order % q:
-            continue
-        syl = sylow_of_subgroup(x, q)
-        if is_cyclic_subgroup(syl):
-            continue
-        if not (maximals_branch(group, syl, q) or cyclics_branch(group, syl, q)):
-            return False, None, {}
-    zu = u_hypercentre(group)
-    return True, e.is_subset_of(zu), {"z_u_order": zu.order}
-
-
 def _fitting_p_sandwich_bindings(group: FiniteGroup):
-    from .classify import fitting_p
-
     lat = normal_lattice(group)
     for p in primes_of_group(group):
         for e in lat.nodes:
@@ -298,55 +282,51 @@ def _fitting_p_sandwich_bindings(group: FiniteGroup):
                 }
 
 
-def _eval_thm16(group, payload):
-    p, e, x = payload["p"], payload["E"], payload["X"]
-    syl = sylow_of_subgroup(x, p)
-    if not (maximals_branch(group, syl, p) or cyclics_branch(group, syl, p)):
-        return False, None, {}
-    holds, audit = _u_hypercentre_quotient_check(group, e, p)
-    return True, holds, audit
-
-
-PROP41_ITEMS = ("gen-cap", "partial-pi", "s-quasinormal")
-
-
 def _prop41_bindings(group: FiniteGroup):
     for p, sub in standard_pool(group):
         for item in PROP41_ITEMS:
             yield {"p": p, "H": sub, "H_order": sub.order, "item": item}
 
 
-def _eval_prop41(group, payload):
-    p, sub, item = payload["p"], payload["H"], payload["item"]
-    if item == "gen-cap":
-        hyp = gen_cap(group, sub).holds
-    elif item == "partial-pi":
-        hyp = partial_pi(group, sub).holds
-    else:
-        hyp = s_quasinormal(group, sub)
-    if not hyp:
-        return False, None, {}
-    verdict = partial_s_pi(group, sub, p)
-    audit = {}
-    if verdict.witness is not None:
-        lat = normal_lattice(group)
-        audit["witness_factor_orders"] = [
-            lat.nodes[b].order // lat.nodes[a].order
-            for a, b in zip(verdict.witness, verdict.witness[1:])
-        ]
-    return True, verdict.holds, audit
+# -- theorem table ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Theorem:
+    enumerate: callable  # (group) -> iterator of payload dicts
+    hypothesis: callable  # (group, payload) -> bool
+    conclusion: callable  # (group, payload) -> (holds, audit)
+
+
+# one row per statement, in report order; the binding generators fix the
+# enumeration order, hence the examples and the truncation point
 THEOREMS = {
-    "prop-3.1": Theorem("prop-3.1", _normal_p_subgroup_bindings, _eval_prop31),
-    "prop-3.2": Theorem("prop-3.2", _coprime_normal_bindings, _eval_prop32),
-    "prop-3.3": Theorem("prop-3.3", _normal_p_subgroup_bindings, _eval_prop33),
-    "prop-3.4": Theorem("prop-3.4", _coprime_normal_bindings, _eval_prop34),
-    "prop-3.5": Theorem("prop-3.5", _p_soluble_normal_bindings, _eval_prop35),
-    "thm-1.5": Theorem("thm-1.5", _f_star_sandwich_bindings, _eval_thm15),
-    "thm-1.6": Theorem("thm-1.6", _fitting_p_sandwich_bindings, _eval_thm16),
-    "prop-4.1": Theorem("prop-4.1", _prop41_bindings, _eval_prop41),
+    "prop-3.1": Theorem(
+        _normal_p_subgroup_bindings, on_sylow("P", maximals_branch), in_z_u("P")
+    ),
+    "prop-3.2": Theorem(
+        _coprime_normal_bindings, on_sylow("E", maximals_branch), _e_p_nilpotent
+    ),
+    "prop-3.3": Theorem(
+        _normal_p_subgroup_bindings, on_sylow("P", cyclics_branch), in_z_u("P")
+    ),
+    "prop-3.4": Theorem(
+        _coprime_normal_bindings, on_sylow("E", cyclics_branch), _e_p_nilpotent
+    ),
+    "prop-3.5": Theorem(
+        _p_soluble_normal_bindings,
+        on_sylow("E", either_branch),
+        _e_mod_o_p_prime_in_z_u,
+    ),
+    "thm-1.5": Theorem(_f_star_sandwich_bindings, _noncyclic_sylows_of_x, in_z_u("E")),
+    "thm-1.6": Theorem(
+        _fitting_p_sandwich_bindings,
+        on_sylow("X", either_branch),
+        _e_mod_o_p_prime_in_z_u,
+    ),
+    "prop-4.1": Theorem(_prop41_bindings, _prop41_item_holds, _h_partial_s_pi),
 }
+THEOREM_IDS = tuple(THEOREMS)
 
 
 def instances(
@@ -375,16 +355,12 @@ def instances(
 def check_instance(inst: TheoremInstance, group: FiniteGroup) -> TheoremInstance:
     """Evaluate the hypothesis, then the conclusion only when it holds."""
     theorem = THEOREMS[inst.theorem_id]
-    hyp, concl, audit = theorem.evaluate(group, inst.payload)
-    inst.hypothesis_holds = hyp
-    inst.conclusion_holds = concl
-    inst.audit = audit
-    if not hyp:
+    inst.hypothesis_holds = theorem.hypothesis(group, inst.payload)
+    if not inst.hypothesis_holds:
         inst.verdict = "vacuous"
-    elif concl:
-        inst.verdict = "confirmed"
-    else:
-        inst.verdict = "COUNTEREXAMPLE"
+        return inst
+    inst.conclusion_holds, inst.audit = theorem.conclusion(group, inst.payload)
+    inst.verdict = "confirmed" if inst.conclusion_holds else "COUNTEREXAMPLE"
     return inst
 
 

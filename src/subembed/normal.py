@@ -33,7 +33,6 @@ class NormalLattice:
     nodes: tuple[Subgroup, ...]
     covers: tuple[tuple[int, int], ...]
     up: dict[int, tuple[int, ...]] = field(repr=False)
-    down: dict[int, tuple[int, ...]] = field(repr=False)
     node_by_mask: dict[int, int] = field(repr=False)
 
     @property
@@ -57,10 +56,10 @@ class NormalLattice:
 
 
 def normal_lattice(group: FiniteGroup, node_cap: int = DEFAULT_NODE_CAP) -> NormalLattice:
-    cached = group.scratch("lattice").get("lattice")
-    if cached is not None:
-        return cached
+    return group.memo("lattice", "lattice", lambda: _build_lattice(group, node_cap))
 
+
+def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     # base set: normal closures of one representative per conjugacy class
     masks = {1, (1 << group.order) - 1}
     for cls in group.conjugacy_classes():
@@ -121,20 +120,15 @@ def normal_lattice(group: FiniteGroup, node_cap: int = DEFAULT_NODE_CAP) -> Norm
                 covers.append((i, j))
 
     up: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    down: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
     for k, l in covers:
         up[k].append(l)
-        down[l].append(k)
-    lattice = NormalLattice(
+    return NormalLattice(
         group,
         tuple(nodes),
         tuple(covers),
         {k: tuple(sorted(v)) for k, v in up.items()},
-        {k: tuple(sorted(v)) for k, v in down.items()},
         node_by_mask,
     )
-    group.scratch("lattice")["lattice"] = lattice
-    return lattice
 
 
 def minimal_normals(group: FiniteGroup) -> list[Subgroup]:
@@ -191,9 +185,8 @@ def chief_series_enumerate(group: FiniteGroup, limit: int) -> list[ChiefSeries]:
 
 def a_chief_series(group: FiniteGroup) -> ChiefSeries:
     """One chief series, deterministically (smallest cover successor first)."""
-    cache = group.scratch("chief")
-    got = cache.get("series")
-    if got is None:
+
+    def walk() -> ChiefSeries:
         lat = normal_lattice(group)
         path = [0]
         while path[-1] != lat.top:
@@ -201,8 +194,9 @@ def a_chief_series(group: FiniteGroup) -> ChiefSeries:
         orders = tuple(
             lat.nodes[b].order // lat.nodes[a].order for a, b in zip(path, path[1:])
         )
-        got = cache.setdefault("series", ChiefSeries(tuple(path), orders))
-    return got
+        return ChiefSeries(tuple(path), orders)
+
+    return group.memo("chief", "series", walk)
 
 
 def is_chief_factor(group: FiniteGroup, lower: Subgroup, upper: Subgroup) -> bool:
@@ -246,11 +240,10 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         raise ValueError("kernel does not live in this group")
     if not kernel.is_normal():
         raise ValueError("kernel is not normal")
-    cache = group.scratch("quotient")
-    got = cache.get(kernel.mask)
-    if got is not None:
-        return got
+    return group.memo("quotient", kernel.mask, lambda: _coset_action(group, kernel))
 
+
+def _coset_action(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     # label cosets in order of their minimal member; reps are those minima
     coset_of = np.full(group.order, -1, dtype=np.int64)
     reps = []
@@ -276,13 +269,11 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     )
     assert image.order == n_cosets, "coset action of a normal kernel is regular"
 
-    # extend generator images to the homomorphism along the BFS spanning tree
-    element_map = np.zeros(group.order, dtype=np.int64)
-    for i in range(1, group.order):
-        parent, gpos = group.bfs_edges[i]
-        element_map[i] = image.mult(int(element_map[parent]), image.gen_indices[gpos])
-    qmap = QuotientMap(group, kernel, image, element_map)
-    return cache.setdefault(kernel.mask, qmap)
+    # the action is regular, so an image element is fixed by where it sends
+    # the kernel coset, and g sends it to the coset of g
+    pos = np.empty(n_cosets, dtype=np.int64)
+    pos[image.rows[:, 0]] = np.arange(n_cosets)
+    return QuotientMap(group, kernel, image, pos[coset_of])
 
 
 def subgroup_as_group(sub: Subgroup):
@@ -292,23 +283,19 @@ def subgroup_as_group(sub: Subgroup):
     parent index of child element i and ``from_parent`` maps the other way.
     """
     parent = sub.group
-    cache = parent.scratch("as_group")
-    got = cache.get(sub.mask)
-    if got is None:
+
+    def materialize():
         if sub.order == parent.order:
             identity = np.arange(parent.order, dtype=np.int64)
-            got = (parent, identity, {i: i for i in range(parent.order)})
-        else:
-            gens = [parent.perm(i) for i in sub.gens]
-            child = generate_group(
-                gens, degree=parent.degree, cap=max(sub.order, 1)
-            )
-            assert child.order == sub.order
-            to_parent = parent.lookup_rows(child.rows)
-            from_parent = {int(p): i for i, p in enumerate(to_parent)}
-            got = (child, to_parent, from_parent)
-        got = cache.setdefault(sub.mask, got)
-    return got
+            return parent, identity, {i: i for i in range(parent.order)}
+        gens = [parent.perm(i) for i in sub.gens]
+        child = generate_group(gens, degree=parent.degree, cap=max(sub.order, 1))
+        assert child.order == sub.order
+        to_parent = parent.lookup_rows(child.rows)
+        from_parent = {int(p): i for i, p in enumerate(to_parent)}
+        return child, to_parent, from_parent
+
+    return parent.memo("as_group", sub.mask, materialize)
 
 
 def pull_to_parent(sub_of_child: Subgroup, to_parent: np.ndarray, parent: FiniteGroup) -> Subgroup:

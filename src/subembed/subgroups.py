@@ -26,12 +26,10 @@ def mask_from_bool(member: np.ndarray) -> int:
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The set bit positions of ``mask``, ascending, as Python ints."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return tuple(bits.nonzero()[0].tolist())
 
 
 class Subgroup:
@@ -99,9 +97,8 @@ class Subgroup:
     @cached_property
     def gens(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily in element-index order."""
-        cache = self.group.scratch("small_gens")
-        got = cache.get(self.mask)
-        if got is None:
+
+        def pick() -> tuple[int, ...]:
             # each pick extends the closure of the earlier picks
             gens: list[int] = []
             have = np.zeros(self.group.order, dtype=bool)
@@ -111,8 +108,9 @@ class Subgroup:
                     gens.append(i)
                     close_members(self.group, have, gens)
             assert mask_from_bool(have) == self.mask
-            got = cache.setdefault(self.mask, tuple(gens))
-        return got
+            return tuple(gens)
+
+        return self.group.memo("small_gens", self.mask, pick)
 
     def is_normal(self) -> bool:
         for g in self.group.gen_indices:
@@ -190,26 +188,25 @@ def product_with_normal(a: Subgroup, n: Subgroup) -> Subgroup:
 
 def normalizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
     """{g : h^g = h}, by a full scan over the group."""
-    cache = group.scratch("normalizer")
-    got = cache.get(h.mask)
-    if got is None:
+
+    def scan() -> int:
         ok = np.ones(group.order, dtype=bool)
         member = h.member_bool
         for s in h.gens:
             ok &= member[group.conj_by_all(s)]
-        got = cache.setdefault(h.mask, mask_from_bool(ok))
-    return Subgroup(group, got)
+        return mask_from_bool(ok)
+
+    return Subgroup(group, group.memo("normalizer", h.mask, scan))
 
 
 def centralizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
-    cache = group.scratch("centralizer")
-    got = cache.get(h.mask)
-    if got is None:
+    def scan() -> int:
         ok = np.ones(group.order, dtype=bool)
         for s in h.gens:
             ok &= group.conj_by_all(s) == s
-        got = cache.setdefault(h.mask, mask_from_bool(ok))
-    return Subgroup(group, got)
+        return mask_from_bool(ok)
+
+    return Subgroup(group, group.memo("centralizer", h.mask, scan))
 
 
 def center(group: FiniteGroup) -> Subgroup:
@@ -239,17 +236,15 @@ def derived_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def derived_of_subgroup(h: Subgroup) -> Subgroup:
-    cache = h.group.scratch("derived")
-    got = cache.get(h.mask)
-    if got is None:
-        group = h.group
+    group = h.group
+
+    def close() -> int:
         comms = {
             group.commutator(a, b) for a in h.gens for b in h.gens if a != b
         }
-        got = cache.setdefault(
-            h.mask, normal_closure_in(group, h.gens, comms).mask
-        )
-    return Subgroup(h.group, got)
+        return normal_closure_in(group, h.gens, comms).mask
+
+    return Subgroup(group, group.memo("derived", h.mask, close))
 
 
 def lower_central_series(group: FiniteGroup) -> list[Subgroup]:

@@ -6,7 +6,7 @@ from subembed.classify import (
 )
 from subembed.subgroups import p_part, prime_divisors
 
-from conftest import brute_u_hypercentre
+from conftest import brute_normal_masks, brute_u_hypercentre
 
 
 def test_sylow_orders(by_name):
@@ -38,6 +38,18 @@ def test_radical_p_prime_a4(by_name):
     expected = {i for i in range(12) if a4.element_order(i) in (1, 2)}
     assert set(o.indices) == expected
     assert o.order == 4
+
+
+def test_radicals_against_brute_force(by_name):
+    for name in ("S3", "A4", "D8", "S4", "S3xC2", "C3^2:C2", "SL(2,3)"):
+        group = by_name[name]
+        normals = brute_normal_masks(group)
+        for p in prime_divisors(group.order):
+            # oracle: the largest normal subgroup whose order passes the test
+            p_groups = [m for m in normals if p_part(m.bit_count(), p) == m.bit_count()]
+            p_prime = [m for m in normals if m.bit_count() % p]
+            assert se.radical_p(group, p).mask == max(p_groups, key=int.bit_count)
+            assert se.radical_p_prime(group, p).mask == max(p_prime, key=int.bit_count)
 
 
 def test_fitting_s4(by_name):

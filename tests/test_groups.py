@@ -37,6 +37,22 @@ def test_order_cap_names_partial_count():
     assert exc.value.reached == 10
 
 
+def test_memo_computes_once_per_key():
+    group = generate_group([parse_cycles("(1 2 3)", 3)], degree=3)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return object()
+
+    first = group.memo("demo", 5, compute)
+    second = group.memo("demo", 6, compute)
+    assert group.memo("demo", 5, compute) is first
+    assert group.memo("other", 5, compute) is not first
+    assert second is not first and len(calls) == 3
+    assert group.scratch("demo") == {5: first, 6: second}
+
+
 def test_identity_is_index_zero():
     for _, group in se.builtin_corpus(60):
         assert group.perm(0).is_identity()

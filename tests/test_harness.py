@@ -1,12 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
 import subembed as se
+from subembed import harness
 from subembed.harness import (
     THEOREM_IDS,
+    THEOREMS,
     check_instance,
+    cyclics_branch,
     instances,
+    maximals_branch,
     resolve_theorem_ids,
     run_corpus,
     standard_pool,
@@ -70,6 +75,36 @@ def test_prop41_a5_partial_pi_item_is_vacuous_for_sylow5(by_name):
         and i.bindings["item"] == "partial-pi"
     ]
     assert sylow5_ppi and all(i.verdict == "vacuous" for i in sylow5_ppi)
+
+
+def test_theorem_rows_read_the_stated_binding_and_branch(by_name, monkeypatch):
+    # In A4 an order-2 subgroup passes the maximals branch and fails the
+    # cyclics branch, and the Klein four subgroup fails both; no corpus
+    # binding tells these rows apart, so they are called directly.
+    a4 = by_name["A4"]
+    trivial, klein = se.normal_lattice(a4).nodes[:2]
+    c2 = se.span(a4, [klein.indices[1]])
+    assert maximals_branch(a4, c2, 2) and not cyclics_branch(a4, c2, 2)
+    assert not maximals_branch(a4, klein, 2) and not cyclics_branch(a4, klein, 2)
+    cases = [
+        ("prop-3.1", {"P": c2}, True),
+        ("prop-3.3", {"P": c2}, False),
+        ("prop-3.2", {"E": c2}, True),
+        ("prop-3.4", {"E": c2}, False),
+        ("prop-3.5", {"E": c2}, True),
+        ("thm-1.5", {"E": klein, "X": klein}, False),
+        ("thm-1.5", {"E": klein, "X": c2}, True),  # cyclic Sylows are exempt
+        ("thm-1.6", {"E": trivial, "X": klein}, False),
+        ("thm-1.6", {"E": klein, "X": trivial}, True),
+    ]
+    for tid, bound, expected in cases:
+        assert THEOREMS[tid].hypothesis(a4, {"p": 2, **bound}) == expected, tid
+    # no subgroup found fails the maximals branch and passes the cyclics
+    # branch, so "either" is checked with stand-in branches
+    monkeypatch.setattr(harness, "maximals_branch", lambda group, sub, p: False)
+    monkeypatch.setattr(harness, "cyclics_branch", lambda group, sub, p: True)
+    for tid in ("prop-3.5", "thm-1.6"):
+        assert THEOREMS[tid].hypothesis(a4, {"p": 2, "E": klein, "X": klein}), tid
 
 
 def test_trivial_e_instances_confirm(by_name):
@@ -147,8 +182,18 @@ def test_run_corpus_deterministic_modulo_timing(tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+# SHA-256 of the max-order-48 report without ``timing_ms`` (json, indent=2,
+# sort_keys=True, trailing newline); any change in verdicts, audits, examples
+# or their order changes it
+SMALL_RUN_SHA256 = "52b83f0a6d17aba0730a1b0be9a6dfee6d54f735ec548a28d7dc280e6d0cb298"
+
+
 def test_small_run_has_zero_counterexamples():
     report = run_corpus(list(THEOREM_IDS), max_order=48)
     assert report.total_counterexamples == 0
     for summary in report.theorems:
         assert summary.counterexample_bindings == []
+    body = report.to_dict()
+    body.pop("timing_ms")
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_RUN_SHA256

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import subembed as se
@@ -120,18 +119,28 @@ def test_quotient_by_whole_is_trivial(by_name):
 
 
 def test_quotient_element_map_is_homomorphism(by_name):
-    g = by_name["S4"]
-    v4 = se.normal_lattice(g).nodes[1]
-    q = se.quotient(g, v4)
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x, y = int(rng.integers(g.order)), int(rng.integers(g.order))
-        assert q.element_map[g.mult(x, y)] == q.image.mult(
-            int(q.element_map[x]), int(q.element_map[y])
-        )
-    kernel = {i for i in range(g.order) if q.element_map[i] == 0}
-    assert kernel == set(v4.indices)
-    assert q.image.order * v4.order == g.order
+    for name in ("S4", "D8xC2", "SL(2,3)", "C3^2:C2"):
+        g = by_name[name]
+        for node in se.normal_lattice(g).nodes:
+            q = se.quotient(g, node)
+            emap = q.element_map
+            for x in range(g.order):
+                for y in range(g.order):
+                    xy = q.image.mult(int(emap[x]), int(emap[y]))
+                    assert emap[g.mult(x, y)] == xy
+            # generators go to the coset-action generators, which pins the map
+            assert [emap[i] for i in g.gen_indices] == list(q.image.gen_indices)
+            assert {i for i in range(g.order) if emap[i] == 0} == set(node.indices)
+            assert q.image.order * node.order == g.order
+
+
+def test_quotient_checks_the_kernel_before_the_cache(by_name):
+    g, other = by_name["S4"], by_name["SL(2,3)"]
+    assert g.order == other.order
+    kernel = se.normal_lattice(g).nodes[1]
+    se.quotient(g, kernel)  # the cache now holds this mask
+    with pytest.raises(ValueError, match="does not live in this group"):
+        se.quotient(g, Subgroup(other, kernel.mask))
 
 
 def test_quotient_rejects_non_normal(by_name):

@@ -330,7 +330,7 @@ def test_one_pass_span_matches_greedy_closure(data):
     assert sub.gens == tuple(picks)
 
 
-def test_mask_helpers_round_trip():
+def test_mask_helpers_round_trip(group1875):
     from subembed.subgroups import indices_from_mask, mask_from_bool, mask_from_indices
 
     for indices in ([], [0], [7, 8, 9], [0, 63, 64, 200], list(range(0, 1875, 7))):
@@ -340,3 +340,10 @@ def test_mask_helpers_round_trip():
         member = np.zeros(1875, dtype=bool)
         member[indices] = True
         assert mask_from_bool(member) == mask
+    # masks of the order-1875 group: the whole group and a Sylow 5-subgroup
+    assert indices_from_mask(Subgroup.whole(group1875).mask) == tuple(range(1875))
+    syl = se.sylow(group1875, 5)
+    got = indices_from_mask(syl.mask)
+    assert got == tuple(i for i in range(1875) if syl.mask >> i & 1)
+    assert len(got) == 625 and all(type(i) is int for i in got)
+    assert mask_from_indices(got) == syl.mask
