@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ResourceCapError
 from .groups import FiniteGroup, generate_group
 from .perms import Permutation
-from .subgroups import Subgroup, normal_closure_in, product_mask
+from .subgroups import Subgroup, indices_from_mask, normal_closure_in, product_mask
 
 DEFAULT_NODE_CAP = 4096
 
@@ -56,44 +56,43 @@ class NormalLattice:
 
 
 def normal_lattice(group: FiniteGroup, node_cap: int = DEFAULT_NODE_CAP) -> NormalLattice:
-    return group.memo("lattice", "lattice", lambda: _build_lattice(group, node_cap))
+    """The normal-subgroup lattice of ``group``, built once and cached.
+
+    Raises :class:`ResourceCapError` if and only if ``group`` has more than
+    ``node_cap`` normal subgroups, whether or not the lattice is already
+    cached. A fresh build stops as soon as it finds node ``node_cap + 1``, so
+    its work stays bounded by the cap.
+    """
+    lat = group.memo("lattice", "lattice", lambda: _build_lattice(group, node_cap))
+    if len(lat.nodes) > node_cap:
+        raise ResourceCapError("normal lattice node cap exceeded", len(lat.nodes))
+    return lat
 
 
 def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
-    # base set: normal closures of one representative per conjugacy class
-    masks = {1, (1 << group.order) - 1}
-    for cls in group.conjugacy_classes():
-        masks.add(normal_closure(group, [int(cls[0])]).mask)
-
-    # close under pairwise joins; the join of two normal subgroups is their
-    # product set, found cheaply when an existing node already matches it
-    by_order: dict[int, list[int]] = {}
-    for m in masks:
-        by_order.setdefault(m.bit_count(), []).append(m)
-    worklist = list(masks)
-    while worklist:
-        m = worklist.pop()
-        a = Subgroup(group, m)
-        for other in list(masks):
-            if m & other == m or m & other == other:
+    # every normal subgroup is a join of normal closures of conjugacy classes,
+    # so joining each closure into every node found before it reaches them all
+    closures = sorted(
+        {normal_closure(group, [int(cls[0])]).mask for cls in group.conjugacy_classes()}
+    )
+    masks = [1]
+    by_order: dict[int, list[int]] = {1: [1]}
+    for c in closures:
+        closure = Subgroup(group, c)
+        for m in list(masks):
+            if m & c == c:
                 continue
-            b = Subgroup(group, other)
-            predicted = a.order * b.order // (m & other).bit_count()
-            both = m | other
-            existing = None
-            for cand in by_order.get(predicted, []):
-                if cand & both == both:
-                    existing = cand
-                    break
-            if existing is not None:
+            # a normal subgroup of the join's order that contains both is the
+            # join, so product_mask runs only for joins not yet found
+            order = m.bit_count() * closure.order // (m & c).bit_count()
+            both = m | c
+            if any(other & both == both for other in by_order.get(order, ())):
                 continue
-            joined = product_mask(a, b)
-            if joined not in masks:
-                if len(masks) >= node_cap:
-                    raise ResourceCapError("normal lattice node cap exceeded", len(masks))
-                masks.add(joined)
-                by_order.setdefault(joined.bit_count(), []).append(joined)
-                worklist.append(joined)
+            joined = product_mask(Subgroup(group, m), closure)
+            masks.append(joined)
+            by_order.setdefault(order, []).append(joined)
+            if len(masks) > node_cap:
+                raise ResourceCapError("normal lattice node cap exceeded", len(masks))
 
     nodes = sorted(
         (Subgroup(group, m) for m in masks),
@@ -101,34 +100,27 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     )
     node_by_mask = {s.mask: i for i, s in enumerate(nodes)}
 
+    # above[i] is the bitset of node ids strictly above node i; equal-order
+    # nodes differ, so only later ids can be above. The covers of i are the
+    # ids above i that lie above no other id above i.
+    masks = [s.mask for s in nodes]
+    above = []
+    for i, low in enumerate(masks):
+        bits = 0
+        for j in range(i + 1, len(masks)):
+            if masks[j] & low == low:
+                bits |= 1 << j
+        above.append(bits)
+    up: dict[int, tuple[int, ...]] = {}
     covers = []
-    orders = [s.order for s in nodes]
-    for i, low in enumerate(nodes):
-        for j, high in enumerate(nodes):
-            if orders[j] <= orders[i] or orders[j] % orders[i]:
-                continue
-            if not low.is_subset_of(high):
-                continue
-            between = False
-            for k, mid in enumerate(nodes):
-                if k in (i, j) or not orders[i] < orders[k] < orders[j]:
-                    continue
-                if low.is_subset_of(mid) and mid.is_subset_of(high):
-                    between = True
-                    break
-            if not between:
-                covers.append((i, j))
-
-    up: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    for k, l in covers:
-        up[k].append(l)
-    return NormalLattice(
-        group,
-        tuple(nodes),
-        tuple(covers),
-        {k: tuple(sorted(v)) for k, v in up.items()},
-        node_by_mask,
-    )
+    for k in range(len(nodes)):
+        beyond = 0
+        for mid in indices_from_mask(above[k]):
+            beyond |= above[mid]
+        up[k] = indices_from_mask(above[k] & ~beyond)
+        for l in up[k]:
+            covers.append((k, l))
+    return NormalLattice(group, tuple(nodes), tuple(covers), up, node_by_mask)
 
 
 def minimal_normals(group: FiniteGroup) -> list[Subgroup]:
@@ -157,6 +149,13 @@ class ChiefSeries:
     factor_orders: tuple[int, ...]
 
 
+def _series_along(lat: NormalLattice, chain: tuple[int, ...]) -> ChiefSeries:
+    return ChiefSeries(
+        chain,
+        tuple(lat.nodes[b].order // lat.nodes[a].order for a, b in zip(chain, chain[1:])),
+    )
+
+
 def chief_series_enumerate(group: FiniteGroup, limit: int) -> list[ChiefSeries]:
     """All chief series as maximal cover chains, depth-first.
 
@@ -172,11 +171,7 @@ def chief_series_enumerate(group: FiniteGroup, limit: int) -> list[ChiefSeries]:
         if node == lat.top:
             if len(out) >= limit:
                 raise ResourceCapError("chief series limit exceeded", len(out))
-            orders = tuple(
-                lat.nodes[b].order // lat.nodes[a].order
-                for a, b in zip(path, path[1:])
-            )
-            out.append(ChiefSeries(path, orders))
+            out.append(_series_along(lat, path))
             continue
         for nxt in reversed(lat.up[node]):
             stack.append((nxt, path + (nxt,)))
@@ -191,10 +186,7 @@ def a_chief_series(group: FiniteGroup) -> ChiefSeries:
         path = [0]
         while path[-1] != lat.top:
             path.append(lat.up[path[-1]][0])
-        orders = tuple(
-            lat.nodes[b].order // lat.nodes[a].order for a, b in zip(path, path[1:])
-        )
-        return ChiefSeries(tuple(path), orders)
+        return _series_along(lat, tuple(path))
 
     return group.memo("chief", "series", walk)
 
@@ -205,7 +197,7 @@ def is_chief_factor(group: FiniteGroup, lower: Subgroup, upper: Subgroup) -> boo
     l = lat.node_id(upper)
     if not lower.is_subset_of(upper):
         raise ValueError("subgroups are not nested")
-    return (k, l) in set(lat.covers)
+    return l in lat.up[k]
 
 
 @dataclass(frozen=True)

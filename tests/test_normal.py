@@ -69,6 +69,31 @@ def test_covers_have_empty_interval(by_name):
                 assert not (low.is_subset_of(mid) and mid.is_subset_of(high))
 
 
+def test_covers_match_brute_force_pass(by_name):
+    def strictly_below(a, b):
+        return a.order < b.order and a.is_subset_of(b)
+
+    c2_4 = se.build(se.ElemAbelian(2, 4))
+    for name, group in se.builtin_corpus(60) + [("C2^4", c2_4)]:
+        lat = se.normal_lattice(group)
+        nodes = lat.nodes
+        expected = []
+        for i, low in enumerate(nodes):
+            for j, high in enumerate(nodes):
+                if not strictly_below(low, high):
+                    continue
+                if not any(
+                    strictly_below(low, mid) and strictly_below(mid, high) for mid in nodes
+                ):
+                    expected.append((i, j))
+        assert list(lat.covers) == expected, name
+        for k in range(len(nodes)):
+            assert lat.up[k] == tuple(l for kk, l in expected if kk == k), (name, k)
+    # subspace counts: Gaussian-binomial sums over the dimensions
+    assert len(se.normal_lattice(c2_4).nodes) == 1 + 15 + 35 + 15 + 1
+    assert len(se.normal_lattice(by_name["C3^3"]).nodes) == 1 + 13 + 13 + 1
+
+
 def test_minimal_normals_a4(by_name):
     mins = se.minimal_normals(by_name["A4"])
     assert len(mins) == 1 and mins[0].order == 4
@@ -179,9 +204,15 @@ def test_factor_orders_multiply_to_group_order():
 
 
 def test_lattice_node_cap():
-    fresh = se.build(se.ElemAbelian(2, 3))  # 16 normal subgroups
-    with pytest.raises(ResourceCapError):
-        se.normal_lattice(fresh, node_cap=4)
+    group = se.build(se.ElemAbelian(2, 3))  # 16 normal subgroups
+    with pytest.raises(ResourceCapError) as fresh:
+        se.normal_lattice(group, node_cap=4)
+    assert fresh.value.reached == 5  # the build stops at the first node over
+    assert len(se.normal_lattice(group).nodes) == 16
+    with pytest.raises(ResourceCapError) as cached:
+        se.normal_lattice(group, node_cap=4)
+    assert cached.value.reached == 16
+    assert len(se.normal_lattice(group, node_cap=16).nodes) == 16
 
 
 def test_jordan_holder_small():
