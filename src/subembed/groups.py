@@ -8,6 +8,12 @@ Products are read from a Cayley table of element indices, built on the
 first multiplication. Image rows are mapped back to indices through sorted
 hash keys of their images on a base (a point set whose images determine
 the element), confirmed by comparing whole rows.
+
+Element closures and orbits run on *maps* (row t sends x to ``maps[t, x]``)
+from :meth:`FiniteGroup.right_maps` (x*g) and :meth:`FiniteGroup.conj_maps`
+(x^g), which check indices. :func:`close_members` closes a set under maps (the
+normal closure is {1} under seed right maps plus ambient conjugation maps), and
+:func:`orbit_labels` labels each element with its orbit's least element.
 """
 
 from __future__ import annotations
@@ -169,10 +175,6 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def conj(self, h: int, g: int) -> int:
-        """Index of g^-1 * h * g."""
-        return self.mult(self.mult(self.inverse(g), h), g)
-
     def conj_by_all(self, h: int) -> np.ndarray:
         """Indices of h^g for every g, as an array indexed by g."""
         out = self._conj_tables.get(h)
@@ -182,6 +184,24 @@ class FiniteGroup:
             out = table[g_inv_h, np.arange(self.order)]
             self._conj_tables[h] = out
         return out
+
+    def right_maps(self, gs) -> np.ndarray:
+        """Row t is the map x -> x*gs[t], indexed by x."""
+        return self.table.T.take(self._checked(gs), axis=0)
+
+    def conj_maps(self, gs) -> np.ndarray:
+        """Row t is the map x -> x^gs[t] = gs[t]^-1 * x * gs[t], indexed by x."""
+        gs = self._checked(gs)
+        table = self.table
+        return table[table[self.inv[gs]], gs[:, None]]
+
+    def _checked(self, gs) -> np.ndarray:
+        """``gs`` as an index array; ValueError on an index out of range."""
+        gs = [int(g) for g in gs]
+        for g in gs:
+            if not 0 <= g < self.order:
+                raise ValueError(f"element index {g} out of range")
+        return np.array(gs, dtype=np.intp)
 
     def conj_set(self, idxs: np.ndarray, g: int) -> np.ndarray:
         """Indices of x^g for every x in ``idxs``."""
@@ -217,29 +237,12 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Orbits of the conjugation action, each sorted, ordered by minimum."""
-        if self._classes is not None:
-            return self._classes
-        seen = np.zeros(self.order, dtype=bool)
-        classes = []
-        for i in range(self.order):
-            if seen[i]:
-                continue
-            seen[i] = True
-            members = [i]
-            frontier = np.asarray([i], dtype=np.int64)
-            while len(frontier):
-                new = []
-                for g in self.gen_indices:
-                    for x in self.conj_set(frontier, g):
-                        x = int(x)
-                        if not seen[x]:
-                            seen[x] = True
-                            new.append(x)
-                members.extend(new)
-                frontier = np.asarray(new, dtype=np.int64)
-            classes.append(np.asarray(sorted(members), dtype=np.int64))
-        self._classes = classes
-        return classes
+        if self._classes is None:
+            labels = orbit_labels(self.conj_maps(self.gen_indices))
+            members = np.argsort(labels, kind="stable")
+            starts = np.flatnonzero(np.diff(labels[members])) + 1
+            self._classes = np.split(members, starts)
+        return self._classes
 
 
 def _base_keys(base_images: np.ndarray) -> np.ndarray:
@@ -318,25 +321,39 @@ def generate_group(
 
 def closure_indices(group: FiniteGroup, gen_idxs) -> np.ndarray:
     """Element indices of <gens> inside ``group``, sorted ascending."""
-    member = np.zeros(group.order, dtype=bool)
-    member[0] = True
-    return close_members(group, member, gen_idxs).nonzero()[0]
+    member = np.arange(group.order) == 0
+    return close_members(member, group.right_maps(gen_idxs)).nonzero()[0]
 
 
-def close_members(group: FiniteGroup, member: np.ndarray, gen_idxs) -> np.ndarray:
-    """Grow the boolean ``member`` in place to its closure under right
-    multiplication by the generators, and return it.
-
-    Started from a subgroup's members (or just the identity) this gives the
-    subgroup generated by them and the generators.
-    """
-    gens = np.asarray(gen_idxs, dtype=np.intp)
-    table = group.table
+def close_members(member: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Grow the boolean ``member`` in place until every row of ``maps`` sends
+    it into itself, and return it."""
     frontier = member.nonzero()[0]
     while len(frontier):
         reached = np.zeros(len(member), dtype=bool)
-        reached[table[frontier[:, None], gens]] = True
+        reached[maps[:, frontier]] = True
         reached &= ~member
         member |= reached
         frontier = reached.nonzero()[0]
     return member
+
+
+def orbit_labels(maps: np.ndarray) -> np.ndarray:
+    """For every point, the least point of its orbit under the permutations
+    in the rows of ``maps``.
+
+    Labels start as the points and only move down within their orbits: each
+    round takes the least label across every map both ways, then the label
+    of the label (a doubling jump). A round that changes nothing leaves each
+    orbit with one label, its least point."""
+    k, n = maps.shape
+    back = np.empty_like(maps)
+    back[np.arange(k)[:, None], maps] = np.arange(n)
+    label = np.arange(n)
+    while True:
+        new = np.minimum(label, label[maps].min(axis=0, initial=n))
+        np.minimum(new, label[back].min(axis=0, initial=n), out=new)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import FiniteGroup, generate_group
+from .groups import FiniteGroup, generate_group, orbit_labels
 from .perms import Permutation
 from .subgroups import Subgroup, indices_from_mask, normal_closure_in, product_mask
 
@@ -236,17 +236,10 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
 
 
 def _coset_action(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
-    # label cosets in order of their minimal member; reps are those minima
-    coset_of = np.full(group.order, -1, dtype=np.int64)
-    reps = []
-    karr = kernel.index_array
-    for i in range(group.order):
-        if coset_of[i] >= 0:
-            continue
-        members = group.mult_many(karr, i)
-        coset_of[members] = len(reps)
-        reps.append(i)
-    reps = np.asarray(reps, dtype=np.int64)
+    # the right coset Nx is the orbit of x under left multiplication by the
+    # kernel's generators; cosets are numbered by their least member, the rep
+    least = orbit_labels(group.table[list(kernel.gens)])
+    reps, coset_of = np.unique(least, return_inverse=True)
     n_cosets = len(reps)
 
     gen_perms = []

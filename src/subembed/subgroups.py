@@ -99,25 +99,16 @@ class Subgroup:
         """A small generating set, chosen greedily in element-index order."""
 
         def pick() -> tuple[int, ...]:
-            # each pick extends the closure of the earlier picks
-            gens: list[int] = []
-            have = np.zeros(self.group.order, dtype=bool)
-            have[0] = True
-            for i in self.indices:
-                if not have[i]:
-                    gens.append(i)
-                    close_members(self.group, have, gens)
+            have = np.arange(self.group.order) == 0
+            gens = _greedy_picks(self.group, have, self.indices)
             assert mask_from_bool(have) == self.mask
             return tuple(gens)
 
         return self.group.memo("small_gens", self.mask, pick)
 
     def is_normal(self) -> bool:
-        for g in self.group.gen_indices:
-            for s in self.gens:
-                if not self.contains_index(self.group.conj(s, g)):
-                    return False
-        return True
+        conj = [self.group.conj_set(list(self.gens), g) for g in self.group.gen_indices]
+        return all(self.contains_index(t) for images in conj for t in images)
 
     def conjugate(self, g: int) -> "Subgroup":
         return Subgroup.from_indices(
@@ -125,12 +116,20 @@ class Subgroup:
         )
 
 
+def _greedy_picks(group: FiniteGroup, have: np.ndarray, candidates, base=()) -> list[int]:
+    """The candidates, in order, that lie outside the closure of ``have``
+    under right multiplication by ``base`` and the earlier picks; ``have``
+    grows in place to that closure."""
+    picks: list[int] = []
+    for i in candidates:
+        if not have[i]:
+            picks.append(i)
+            close_members(have, group.right_maps([*base, *picks]))
+    return picks
+
+
 def span(group: FiniteGroup, seed) -> Subgroup:
     """Smallest subgroup of ``group`` containing the seed element indices."""
-    seed = [int(i) for i in seed]
-    for i in seed:
-        if not 0 <= i < group.order:
-            raise ValueError(f"element index {i} out of range")
     return Subgroup(group, mask_from_indices(closure_indices(group, seed)))
 
 
@@ -214,20 +213,15 @@ def center(group: FiniteGroup) -> Subgroup:
 
 
 def normal_closure_in(group: FiniteGroup, ambient_gens, seed) -> Subgroup:
-    """Smallest subgroup containing ``seed`` that the ambient generators normalize."""
-    gens = [int(i) for i in seed if int(i) != 0]
-    current = span(group, gens)
-    while True:
-        new = []
-        for s in current.gens:
-            for g in ambient_gens:
-                t = group.conj(s, int(g))
-                if not current.contains_index(t):
-                    new.append(t)
-        if not new:
-            return current
-        gens = list(current.gens) + new
-        current = span(group, gens)
+    """Smallest subgroup containing ``seed`` that the ambient generators normalize.
+
+    It is the closure S of {1} under x -> x*s (s in seed) and x -> x^g (g
+    ambient): x^g permutes the finite S, so x^(g^-1) is in S too, and then
+    x*s^g = (x^(g^-1)*s)^g is, so S is closed under every conjugate of the
+    seed; the normal closure holds 1 and is closed under both maps."""
+    member = np.arange(group.order) == 0
+    maps = np.concatenate([group.right_maps(seed), group.conj_maps(ambient_gens)])
+    return Subgroup(group, mask_from_bool(close_members(member, maps)))
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
@@ -348,12 +342,7 @@ def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
     group = p_subgroup.group
     phi = frattini_p(p_subgroup, p)
     # coset basis of the elementary abelian quotient P/Phi
-    basis: list[int] = []
-    have = phi
-    for i in p_subgroup.indices:
-        if not have.contains_index(i):
-            basis.append(i)
-            have = span(group, set(phi.gens) | set(basis))
+    basis = _greedy_picks(group, phi.member_bool.copy(), p_subgroup.indices, phi.gens)
     d = len(basis)
     assert p**d * phi.order == p_subgroup.order
     out = []

@@ -33,6 +33,11 @@ def raw_compose(a: tuple, b: tuple) -> tuple:
     return tuple(b[i - 1] for i in a)
 
 
+def raw_inverse(a: tuple) -> tuple:
+    """The inverse of a 1-based image tuple."""
+    return tuple(sorted(range(1, len(a) + 1), key=lambda x: a[x - 1]))
+
+
 def raw_closure(perms: set[tuple]) -> set[tuple]:
     n = len(next(iter(perms)))
     out = set(perms)

@@ -10,8 +10,9 @@ import pytest
 
 import subembed as se
 from subembed import ResourceCapError, generate_group, parse_cycles
+from subembed.groups import orbit_labels
 
-from conftest import raw_closure, raw_compose
+from conftest import raw_closure, raw_compose, raw_inverse
 
 
 def test_s3_from_standard_generators():
@@ -78,6 +79,23 @@ def test_conjugacy_classes_s3():
     assert sorted(len(c) for c in s3.conjugacy_classes()) == [1, 2, 3]
 
 
+def test_orbit_labels_against_search():
+    rng = np.random.default_rng(0)
+    n = 400
+    cycle = np.roll(np.arange(n), 1)
+    for maps in ([cycle], [np.argsort(cycle)], [rng.permutation(n)], [rng.permutation(n) for _ in range(2)]):
+        maps = np.asarray(maps)
+        # search from each point not yet reached: it is the least of its orbit
+        least = [None] * n
+        for x in range(n):
+            frontier = [x] if least[x] is None else []
+            while frontier:
+                for y in frontier:
+                    least[y] = x
+                frontier = {int(m[y]) for y in frontier for m in maps if least[int(m[y])] is None}
+        assert orbit_labels(maps).tolist() == least
+
+
 def test_abelian_groups_have_singleton_classes():
     g = se.build(se.Cyclic(12))
     assert all(len(c) == 1 for c in g.conjugacy_classes())
@@ -91,6 +109,18 @@ def test_class_equation(by_name):
         assert all(group.order % s == 0 for s in sizes)
         identity_class = group.conjugacy_classes()[0]
         assert list(identity_class) == [0]
+    # oracle: each class is {g^-1 x g : g in G}, composed on raw image tuples
+    for name, group in se.builtin_corpus(60) + [("S5", se.build(se.Sym(5)))]:
+        perms = [group.perm(i).images for i in range(group.order)]
+        index = {row: i for i, row in enumerate(perms)}
+        inverses = [raw_inverse(p) for p in perms]
+        classes = group.conjugacy_classes()
+        assert [int(c[0]) for c in classes] == sorted(int(c[0]) for c in classes), name
+        for cls in classes:
+            assert list(cls) == sorted(cls), name
+            x = perms[int(cls[0])]
+            orbit = {index[raw_compose(raw_compose(inv, x), g)] for g, inv in zip(perms, inverses)}
+            assert orbit == {int(i) for i in cls}, name
 
 
 def test_order_divides_degree_factorial():

@@ -2,9 +2,9 @@ import pytest
 
 import subembed as se
 from subembed import ResourceCapError, parse_cycles
-from subembed.subgroups import Subgroup
+from subembed.subgroups import Subgroup, normal_closure_in
 
-from conftest import brute_normal_masks
+from conftest import brute_normal_masks, raw_compose, raw_inverse
 
 
 def idx(group, text):
@@ -16,6 +16,16 @@ def test_normal_closure_examples(by_name):
     assert se.normal_closure(s3, [idx(s3, "(1 2 3)")]).order == 3
     assert se.normal_closure(s3, [idx(s3, "(1 2)")]).order == 6
     assert se.normal_closure(s3, [0]).order == 1
+
+
+def test_closures_reject_out_of_range_indices(by_name):
+    s4 = by_name["S4"]
+    with pytest.raises(ValueError, match="out of range"):
+        se.normal_closure(s4, [-1])
+    with pytest.raises(ValueError, match="out of range"):
+        se.span(s4, [24])
+    with pytest.raises(ValueError, match="out of range"):
+        normal_closure_in(s4, [-1], [1])
 
 
 def test_lattice_s4(by_name):
@@ -157,6 +167,18 @@ def test_quotient_element_map_is_homomorphism(by_name):
             assert [emap[i] for i in g.gen_indices] == list(q.image.gen_indices)
             assert {i for i in range(g.order) if emap[i] == 0} == set(node.indices)
             assert q.image.order * node.order == g.order
+            # the image acts on cosets numbered by their least member, and
+            # sends the kernel (coset 0) to the coset of the source element
+            coset_of = q.image.rows[emap, 0]
+            perms = [g.perm(i).images for i in range(g.order)]
+            inverses = [raw_inverse(p) for p in perms]
+            kernel = {perms[i] for i in node.indices}
+            for x in range(g.order):
+                for y in range(g.order):
+                    same = raw_compose(perms[x], inverses[y]) in kernel
+                    assert (coset_of[x] == coset_of[y]) == same
+            least = [min(x for x in range(g.order) if coset_of[x] == c) for c in range(q.image.order)]
+            assert least == sorted(least)
 
 
 def test_quotient_checks_the_kernel_before_the_cache(by_name):
