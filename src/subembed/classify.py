@@ -1,5 +1,14 @@
 """Group-class predicates and canonical subgroups (radicals, hypercentres).
 
+Quotient and normal-subgroup structure is read off G's own normal lattice.
+By the correspondence theorem the lattice of G/K is the interval [K, G], so
+Z_U(G/K), Z_inf and O_{p',p}(G) are joins of covers and nodes above K. For a
+Fitting class F and E normal in G, E_F = E ∩ G_F (Doerk–Hawkes, *Finite
+Soluble Groups*, 1992), so the harness reads O_p'(E), F_p(E) and F*(E) as
+E ∩ O_p'(G), E ∩ F_p(G) and E ∩ F*(G). Only ``f_star`` builds child groups,
+when F·C_G(F) > F (never for soluble G): F·C_G(F) and its quotient by F,
+whose normal subgroups need not be normal in G.
+
 Solubility is computed along two independent routes (derived series and
 chief-factor orders) and the two are asserted equal, as a standing
 cross-check of the lattice code.
@@ -7,7 +16,7 @@ cross-check of the lattice code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .groups import FiniteGroup
 from .normal import (
@@ -22,6 +31,7 @@ from .subgroups import (
     Subgroup,
     centralizer,
     derived_of_subgroup,
+    is_pi_number,
     is_prime,
     lower_central_series,
     normalizer,
@@ -73,20 +83,14 @@ def sylow_conjugates(group: FiniteGroup, p: int) -> list[Subgroup]:
     """All Sylow p-subgroups, as the conjugation orbit of ``sylow(group, p)``."""
 
     def orbit() -> list[Subgroup]:
-        base = sylow(group, p)
-        seen = {base.mask}
-        out = [base]
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for g in group.gen_indices:
-                    conj = sub.conjugate(g)
-                    if conj.mask not in seen:
-                        seen.add(conj.mask)
-                        out.append(conj)
-                        nxt.append(conj)
-            frontier = nxt
+        out = [sylow(group, p)]
+        seen = {out[0].mask}
+        for sub in out:  # breadth first: the list grows while it is read
+            for g in group.gen_indices:
+                conj = sub.conjugate(g)
+                if conj.mask not in seen:
+                    seen.add(conj.mask)
+                    out.append(conj)
         return out
 
     return group.memo("sylow_orbit", p, orbit)
@@ -106,7 +110,7 @@ def radical_p(group: FiniteGroup, p: int) -> Subgroup:
         return Subgroup.trivial(group)
     if p_part(group.order, p) == group.order:
         return Subgroup.whole(group)
-    return _largest_normal(group, lambda order: p_part(order, p) == order)
+    return _largest_normal(group, ("O_p", p), lambda n: p_part(n.order, p) == n.order)
 
 
 def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
@@ -115,17 +119,21 @@ def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
         return Subgroup.whole(group)
     if p_part(group.order, p) == group.order:
         return Subgroup.trivial(group)
-    return _largest_normal(group, lambda order: order % p != 0)
+    return _largest_normal(group, ("O_p'", p), lambda n: n.order % p != 0)
 
 
-def _largest_normal(group: FiniteGroup, passes) -> Subgroup:
-    """The largest lattice node whose order passes the test, checked to
-    contain every other passing node (so it is the unique largest one)."""
-    passing = [n for n in normal_lattice(group).nodes if passes(n.order)]
-    best = max(passing, key=lambda n: n.order)
-    for node in passing:
-        assert node.is_subset_of(best)
-    return best
+def _largest_normal(group: FiniteGroup, key, passes) -> Subgroup:
+    """The largest lattice node that passes the test, cached under ``key``
+    and checked to contain every passing node (so it is the unique one)."""
+
+    def scan() -> Subgroup:
+        passing = [n for n in normal_lattice(group).nodes if passes(n)]
+        best = max(passing, key=lambda n: n.order)
+        for node in passing:
+            assert node.is_subset_of(best)
+        return best
+
+    return group.memo("radical", key, scan)
 
 
 def fitting(group: FiniteGroup) -> Subgroup:
@@ -137,12 +145,12 @@ def fitting(group: FiniteGroup) -> Subgroup:
 
 
 def fitting_p(group: FiniteGroup, p: int) -> Subgroup:
-    """F_p(G) = O_{p',p}(G): preimage of O_p(G/O_p'(G))."""
-    o_p_prime = radical_p_prime(group, p)
-    if o_p_prime.order == 1:
-        return radical_p(group, p)
-    qmap = quotient(group, o_p_prime)
-    return qmap.preimage_subgroup(radical_p(qmap.image, p))
+    """F_p(G) = O_{p',p}(G), the preimage of O_p(G/O_p'(G)): the largest
+    node over O_p'(G) whose index over it is a power of p."""
+    o = radical_p_prime(group, p)
+    return _largest_normal(
+        group, ("F_p", p), lambda n: o.is_subset_of(n) and is_pi_number(n.order // o.order, (p,))
+    )
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -203,13 +211,24 @@ def is_soluble(group: FiniteGroup) -> bool:
 
 def is_p_soluble(group: FiniteGroup, p: int) -> bool:
     """Every chief factor is a p-group or a p'-group."""
-    pp = p_part(group.order, p)
-    if pp == 1 or pp == group.order:
+    if p_part(group.order, p) in (1, group.order):
         return True
-    series = a_chief_series(group)
-    return all(
-        order % p != 0 or p_part(order, p) == order for order in series.factor_orders
-    )
+    return p_soluble_nodes(group, p)[-1]
+
+
+def p_soluble_nodes(group: FiniteGroup, p: int) -> tuple[bool, ...]:
+    """Per lattice node, whether its G-chief factors are all p- or p'-groups;
+    by Jordan–Hölder one chain of covers up to the node decides it."""
+
+    def flags() -> tuple[bool, ...]:
+        lat = normal_lattice(group)
+        ok = [True] + [False] * lat.top
+        for k, l in lat.covers:  # sorted by k, and k < l
+            q = lat.nodes[l].order // lat.nodes[k].order
+            ok[l] |= ok[k] and (q % p != 0 or p_part(q, p) == q)
+        return tuple(ok)
+
+    return group.memo("p_soluble", p, flags)
 
 
 def is_supersoluble(group: FiniteGroup) -> bool:
@@ -227,46 +246,50 @@ def is_p_supersoluble(group: FiniteGroup, p: int) -> bool:
 
 
 def hypercentre(group: FiniteGroup) -> Subgroup:
-    """Z_inf: iterate preimages of the centre of the quotient until stable."""
-    from .subgroups import center
+    """Z_inf: the layered join of the central covers above 1. A cover L/K
+    is central iff [l, g] lies in K for the generators l of L and g of G."""
 
-    current = Subgroup.trivial(group)
-    while True:
-        qmap = quotient(group, current)
-        lifted = qmap.preimage_subgroup(center(qmap.image))
-        if lifted.mask == current.mask:
-            return current
-        current = lifted
+    def central(low: Subgroup, high: Subgroup) -> bool:
+        return all(
+            low.contains_index(group.commutator(l, g))
+            for l in high.gens
+            for g in group.gen_indices
+        )
+
+    return _layered_join(Subgroup.trivial(group), central)
 
 
 def u_hypercentre(group: FiniteGroup) -> Subgroup:
-    """The largest normal subgroup all of whose chief factors below it have
-    prime order.
+    """The largest normal subgroup whose chief factors below it have prime order."""
+    return u_hypercentre_over(Subgroup.trivial(group))
 
-    Layered construction: repeatedly adjoin every minimal normal subgroup of
-    prime order of the current quotient. A chief factor L/K of prime order q
-    is central for the supersoluble formation because G/C_G(L/K) embeds into
-    the cyclic group of order q-1, so the extension splits supersolubly;
-    a chief factor of composite order never is, being a minimal normal
-    subgroup of composite order in the would-be supersoluble product.
-    """
 
-    def layers() -> Subgroup:
-        current = Subgroup.trivial(group)
-        while True:
-            qmap = quotient(group, current)
-            if qmap.image.order == 1:
-                return current
-            lat = normal_lattice(qmap.image)
-            atoms = [lat.nodes[j] for j in lat.up[0] if is_prime(lat.nodes[j].order)]
-            if not atoms:
-                return current
-            joined = Subgroup.trivial(qmap.image)
-            for atom in atoms:
-                joined = product_with_normal(joined, atom)
-            current = qmap.preimage_subgroup(joined)
+def u_hypercentre_over(kernel: Subgroup) -> Subgroup:
+    """The preimage in G of Z_U(G/K): the layered join of the prime-order
+    covers above K. A chief factor L/K of prime order q is supersolubly
+    central (G/C_G(L/K) embeds in C_{q-1}); one of composite order never is."""
 
-    return group.memo("u_hypercentre", "value", layers)
+    def prime_order(low: Subgroup, high: Subgroup) -> bool:
+        return is_prime(high.order // low.order)
+
+    return kernel.group.memo(
+        "u_hypercentre", kernel.mask, lambda: _layered_join(kernel, prime_order)
+    )
+
+
+def _layered_join(base: Subgroup, admits) -> Subgroup:
+    """From the node K = ``base``, join every cover L of K for which
+    ``admits(K, L)`` holds, and repeat from the join until no cover of it
+    is admitted. Covers above K are the minimal normal subgroups of G/K."""
+    lat = normal_lattice(base.group)
+    k = lat.node_id(base)
+    while True:
+        low = lat.nodes[k]
+        layer = [l for l in lat.up[k] if admits(low, lat.nodes[l])]
+        if not layer:
+            return low
+        for l in layer:
+            k = lat.join_id(k, l)
 
 
 def f_star(group: FiniteGroup) -> Subgroup:
@@ -274,8 +297,9 @@ def f_star(group: FiniteGroup) -> Subgroup:
     fit = fitting(group)
     if fit.order == group.order:
         return fit
-    cent = centralizer(group, fit)
-    fc = product_with_normal(cent, fit)
+    fc = product_with_normal(centralizer(group, fit), fit)
+    if fc == fit:
+        return fit  # F·C_G(F)/F is trivial, so is its socle
     child, to_parent, from_parent = subgroup_as_group(fc)
     from .normal import push_to_child
 
@@ -291,6 +315,20 @@ def nilpotent_residual(group: FiniteGroup) -> Subgroup:
     return lower_central_series(group)[-1]
 
 
+def _orders_dict(report) -> dict:
+    """The report's fields in order, each subgroup as ``<field>_order``."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, Subgroup):
+            out[f"{f.name}_order"] = value.order
+        elif isinstance(value, dict):
+            out[f.name] = {str(p): r.to_dict() for p, r in sorted(value.items())}
+        else:
+            out[f.name] = value
+    return out
+
+
 @dataclass
 class PrimeReport:
     p: int
@@ -302,17 +340,7 @@ class PrimeReport:
     o_p_prime: Subgroup
     f_p: Subgroup
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "sylow_order": self.sylow_order,
-            "p_soluble": self.p_soluble,
-            "p_supersoluble": self.p_supersoluble,
-            "p_nilpotent": self.p_nilpotent,
-            "o_p_order": self.o_p.order,
-            "o_p_prime_order": self.o_p_prime.order,
-            "f_p_order": self.f_p.order,
-        }
+    to_dict = _orders_dict
 
 
 @dataclass
@@ -332,21 +360,7 @@ class ClassReport:
     nilpotent_residual: Subgroup
     primes: dict[int, PrimeReport]
 
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "abelian": self.abelian,
-            "nilpotent": self.nilpotent,
-            "soluble": self.soluble,
-            "supersoluble": self.supersoluble,
-            "centre_order": self.centre.order,
-            "hypercentre_order": self.hypercentre.order,
-            "u_hypercentre_order": self.u_hypercentre.order,
-            "fitting_order": self.fitting.order,
-            "f_star_order": self.f_star.order,
-            "nilpotent_residual_order": self.nilpotent_residual.order,
-            "primes": {str(p): r.to_dict() for p, r in sorted(self.primes.items())},
-        }
+    to_dict = _orders_dict
 
 
 def class_report(group: FiniteGroup) -> ClassReport:

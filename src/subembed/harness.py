@@ -15,27 +15,27 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .catalog import builtin_corpus
 from .classify import (
     f_star,
     fitting_p,
-    is_p_nilpotent,
-    is_p_soluble,
+    p_soluble_nodes,
     primes_of_group,
     radical_p_prime,
     sylow,
-    sylow_of_subgroup,
     u_hypercentre,
+    u_hypercentre_over,
 )
 from .embedding import gen_cap, partial_pi, partial_s_pi, s_quasinormal
 from .groups import FiniteGroup
-from .normal import normal_lattice, pull_to_parent, quotient, subgroup_as_group
+from .normal import normal_lattice
 from .subgroups import (
     Subgroup,
     cyclic_subgroups_of_order,
+    intersect,
     is_abelian_subgroup,
     is_cyclic_subgroup,
     p_group_maximal_subgroups,
@@ -43,7 +43,7 @@ from .subgroups import (
     prime_divisors,
 )
 
-DEFAULT_INSTANCE_CAP = 500
+DEFAULT_INSTANCE_CAP = 1000
 EXAMPLES_PER_THEOREM = 10
 
 
@@ -117,17 +117,16 @@ def standard_pool(group: FiniteGroup) -> list[tuple[int, Subgroup]]:
     return out
 
 
-def subgroup_o_p_prime(sub: Subgroup, p: int) -> Subgroup:
-    """O_p' of a subgroup, as a subgroup of the parent group."""
-    child, to_parent, _ = subgroup_as_group(sub)
-    return pull_to_parent(radical_p_prime(child, p), to_parent, sub.group)
+# Every bound P, E and X is a node of G's normal lattice, so its Sylow
+# subgroups and radicals are intersections with G's (see ``classify``).
 
 
-def subgroup_is_p_soluble(sub: Subgroup, p: int) -> bool:
-    if p_part(sub.order, p) in (1, sub.order):
-        return True
-    child, _, _ = subgroup_as_group(sub)
-    return is_p_soluble(child, p)
+def sylow_of_normal(e: Subgroup, p: int) -> Subgroup:
+    return intersect(sylow(e.group, p), e)
+
+
+def o_p_prime_of_normal(e: Subgroup, p: int) -> Subgroup:
+    return intersect(e, radical_p_prime(e.group, p))
 
 
 # -- hypotheses: (group, bindings) -> bool ---------------------------------
@@ -141,7 +140,7 @@ def on_sylow(name: str, branch):
     """Hypothesis: ``branch`` holds for a Sylow p-subgroup of the bound ``name``."""
 
     def hypothesis(group: FiniteGroup, b: dict) -> bool:
-        return branch(group, sylow_of_subgroup(b[name], b["p"]), b["p"])
+        return branch(group, sylow_of_normal(b[name], b["p"]), b["p"])
 
     return hypothesis
 
@@ -149,7 +148,7 @@ def on_sylow(name: str, branch):
 def _noncyclic_sylows_of_x(group: FiniteGroup, b: dict) -> bool:
     """thm-1.5: either branch holds for every non-cyclic Sylow subgroup of X."""
     x = b["X"]
-    sylows = ((q, sylow_of_subgroup(x, q)) for q in prime_divisors(x.order))
+    sylows = ((q, sylow_of_normal(x, q)) for q in prime_divisors(x.order))
     return all(is_cyclic_subgroup(s) or either_branch(group, s, q) for q, s in sylows)
 
 
@@ -178,26 +177,21 @@ def in_z_u(name: str):
 
 
 def _e_p_nilpotent(group: FiniteGroup, b: dict):
+    """E has a normal p-complement iff |E : O_p'(E)| is a power of p."""
     p, e = b["p"], b["E"]
-    child, _, _ = subgroup_as_group(e)
-    return is_p_nilpotent(child, p), {"sylow_order": p_part(e.order, p)}
+    index = e.order // o_p_prime_of_normal(e, p).order
+    return p_part(index, p) == index, {"sylow_order": p_part(e.order, p)}
 
 
 def _e_mod_o_p_prime_in_z_u(group: FiniteGroup, b: dict):
-    """E/O_p'(E) lies in the supersoluble hypercentre of G/O_p'(E)."""
+    """E/O_p'(E) lies in Z_U(G/O_p'(E)); the audit gives orders in G/O_p'(E)."""
     p, e = b["p"], b["E"]
-    o = subgroup_o_p_prime(e, p)
-    if o.order == 1:
-        zu = u_hypercentre(group)
-        return e.is_subset_of(zu), {"o_p_prime_order": 1, "z_u_order": zu.order}
-    qmap = quotient(group, o)
-    zu = u_hypercentre(qmap.image)
-    image_e = qmap.image_subgroup(e)
-    return image_e.is_subset_of(zu), {
-        "o_p_prime_order": o.order,
-        "z_u_order": zu.order,
-        "image_e_order": image_e.order,
-    }
+    o = o_p_prime_of_normal(e, p)
+    zu = u_hypercentre_over(o)
+    audit = {"o_p_prime_order": o.order, "z_u_order": zu.order // o.order}
+    if o.order > 1:
+        audit["image_e_order"] = e.order // o.order
+    return e.is_subset_of(zu), audit
 
 
 def _h_partial_s_pi(group: FiniteGroup, b: dict):
@@ -235,9 +229,10 @@ def _coprime_normal_bindings(group: FiniteGroup):
 
 def _p_soluble_normal_bindings(group: FiniteGroup):
     lat = normal_lattice(group)
-    for node in lat.nodes:
-        for p in primes_of_group(group):
-            if subgroup_is_p_soluble(node, p):
+    soluble = {p: p_soluble_nodes(group, p) for p in primes_of_group(group)}
+    for i, node in enumerate(lat.nodes):
+        for p, flags in soluble.items():
+            if flags[i]:
                 yield {"p": p, "E": node, "E_order": node.order}
 
 
@@ -245,9 +240,9 @@ def _f_star_sandwich_bindings(group: FiniteGroup):
     if group.order == 1:
         return  # matches the other theorems, which quantify over prime divisors
     lat = normal_lattice(group)
+    f_star_g = f_star(group)
     for e in lat.nodes:
-        child, to_parent, _ = subgroup_as_group(e)
-        fstar = pull_to_parent(f_star(child), to_parent, group)
+        fstar = intersect(e, f_star_g)
         for x in lat.nodes:
             if fstar.is_subset_of(x) and x.is_subset_of(e):
                 yield {
@@ -262,15 +257,13 @@ def _f_star_sandwich_bindings(group: FiniteGroup):
 def _fitting_p_sandwich_bindings(group: FiniteGroup):
     lat = normal_lattice(group)
     for p in primes_of_group(group):
-        for e in lat.nodes:
-            if not subgroup_is_p_soluble(e, p):
+        soluble, f_p_g = p_soluble_nodes(group, p), fitting_p(group, p)
+        for i, e in enumerate(lat.nodes):
+            if not soluble[i]:
                 continue
-            child, to_parent, _ = subgroup_as_group(e)
-            fp = pull_to_parent(fitting_p(child, p), to_parent, group)
-            for x in lat.nodes:
-                if not (fp.is_subset_of(x) and x.is_subset_of(e)):
-                    continue
-                if not subgroup_is_p_soluble(x, p):
+            fp = intersect(e, f_p_g)  # F_p(E) = E ∩ F_p(G)
+            for j, x in enumerate(lat.nodes):
+                if not (soluble[j] and fp.is_subset_of(x) and x.is_subset_of(e)):
                     continue
                 yield {
                     "p": p,
@@ -379,16 +372,7 @@ class TheoremSummary:
     counterexample_bindings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "instances": self.instances,
-            "vacuous": self.vacuous,
-            "confirmed": self.confirmed,
-            "counterexamples": self.counterexamples,
-            "truncated_groups": self.truncated_groups,
-            "examples": self.examples,
-            "counterexample_bindings": self.counterexample_bindings,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -228,14 +228,15 @@ class QuotientMap:
 
 
 def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
+    """G/K by the coset action; the mask decides normality, checked once."""
     if kernel.group is not group:
         raise ValueError("kernel does not live in this group")
-    if not kernel.is_normal():
-        raise ValueError("kernel is not normal")
     return group.memo("quotient", kernel.mask, lambda: _coset_action(group, kernel))
 
 
 def _coset_action(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
+    if not kernel.is_normal():
+        raise ValueError("kernel is not normal")
     # the right coset Nx is the orbit of x under left multiplication by the
     # kernel's generators; cosets are numbered by their least member, the rep
     least = orbit_labels(group.table[list(kernel.gens)])

@@ -112,3 +112,88 @@ def brute_partial_s_pi(group, h, p, series_limit=500) -> bool:
         if ok:
             return True
     return False
+
+
+# -- child-group oracles ------------------------------------------------------
+# The library reads quotient and normal-subgroup structure off G's own normal
+# lattice. These oracles take the other route: they build G/K by the coset
+# action (`quotient`) or a normal E as a group of its own
+# (`subgroup_as_group`), then compute on that child group and its lattice.
+
+
+def quotient_u_hypercentre(group):
+    """Z_U(G): adjoin every prime-order minimal normal subgroup of G/K,
+    with each G/K built as a group, until none is left."""
+    from subembed.subgroups import is_prime, product_with_normal
+
+    current = se.Subgroup.trivial(group)
+    while True:
+        qmap = se.quotient(group, current)
+        lat = se.normal_lattice(qmap.image)
+        atoms = [lat.nodes[j] for j in lat.up[0] if is_prime(lat.nodes[j].order)]
+        if not atoms:
+            return current
+        joined = se.Subgroup.trivial(qmap.image)
+        for atom in atoms:
+            joined = product_with_normal(joined, atom)
+        current = qmap.preimage_subgroup(joined)
+
+
+def quotient_hypercentre(group):
+    """Z_inf(G): lift the centre of G/K, with G/K built as a group, until
+    it stops growing."""
+    current = se.Subgroup.trivial(group)
+    while True:
+        qmap = se.quotient(group, current)
+        lifted = qmap.preimage_subgroup(se.center(qmap.image))
+        if lifted == current:
+            return current
+        current = lifted
+
+
+def quotient_fitting_p(group, p):
+    """F_p(G): the preimage of O_p(G/O_p'(G)), with the quotient built."""
+    qmap = se.quotient(group, se.radical_p_prime(group, p))
+    return qmap.preimage_subgroup(se.radical_p(qmap.image, p))
+
+
+def quotient_u_hypercentre_over(kernel):
+    """The preimage in G of Z_U(G/K), with G/K built as a group."""
+    qmap = se.quotient(kernel.group, kernel)
+    return qmap.preimage_subgroup(quotient_u_hypercentre(qmap.image))
+
+
+def _as_child(e):
+    child, to_parent, _ = se.subgroup_as_group(e)
+    return child, lambda sub: se.Subgroup.from_indices(e.group, to_parent[sub.index_array])
+
+
+def child_o_p_prime(e, p):
+    """O_p'(E), computed in E built as a group."""
+    child, lift = _as_child(e)
+    return lift(se.radical_p_prime(child, p))
+
+
+def child_fitting_p(e, p):
+    child, lift = _as_child(e)
+    return lift(quotient_fitting_p(child, p))
+
+
+def child_f_star(e):
+    child, lift = _as_child(e)
+    return lift(se.f_star(child))
+
+
+def child_is_p_soluble(e, p):
+    child, _ = _as_child(e)
+    return se.is_p_soluble(child, p)
+
+
+def child_is_p_nilpotent(e, p):
+    child, _ = _as_child(e)
+    return se.is_p_nilpotent(child, p)
+
+
+def child_z_u_mod_o_p_prime(e, p):
+    """The preimage in G of Z_U(G/O_p'(E)), both read from child groups."""
+    return quotient_u_hypercentre_over(child_o_p_prime(e, p))

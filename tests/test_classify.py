@@ -1,12 +1,28 @@
 import subembed as se
 from subembed.classify import (
     class_report,
+    p_soluble_nodes,
     soluble_by_chief_factors,
     soluble_by_derived_series,
+    u_hypercentre_over,
 )
-from subembed.subgroups import p_part, prime_divisors
+from subembed.harness import _e_p_nilpotent, o_p_prime_of_normal, sylow_of_normal
+from subembed.subgroups import intersect, p_part, prime_divisors
 
-from conftest import brute_normal_masks, brute_u_hypercentre
+from conftest import (
+    brute_normal_masks,
+    brute_u_hypercentre,
+    child_f_star,
+    child_fitting_p,
+    child_is_p_nilpotent,
+    child_is_p_soluble,
+    child_o_p_prime,
+    child_z_u_mod_o_p_prime,
+    quotient_fitting_p,
+    quotient_hypercentre,
+    quotient_u_hypercentre,
+    quotient_u_hypercentre_over,
+)
 
 
 def test_sylow_orders(by_name):
@@ -181,3 +197,66 @@ def test_class_report_to_dict_is_jsonable(by_name):
     report = class_report(by_name["SL(2,3)"])
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert '"order": 24' in text
+
+
+def _lattice_rich_groups():
+    """The nine lattice-rich groups of the ``invariants-lattice`` benchmark."""
+    E, D = se.ElemAbelian, se.Direct
+    exprs = {
+        "C2^5": E(2, 5),
+        "C3^4": E(3, 4),
+        "C2^4xC3^2": D(E(2, 4), E(3, 2)),
+        "C2^3xC3^3": D(E(2, 3), E(3, 3)),
+        "D8xC2^3": D(se.Dihedral(8), E(2, 3)),
+        "Q8xC2^3": D(se.Quaternion8(), E(2, 3)),
+        "C2^5xC3": D(E(2, 5), se.Cyclic(3)),
+        "S4xC2^3": D(se.Sym(4), E(2, 3)),
+        "S3xS3xC2^2": D(D(se.Sym(3), se.Sym(3)), E(2, 2)),
+    }
+    return [(name, se.build(expr)) for name, expr in exprs.items()]
+
+
+def _check_group_level(name, group):
+    """Z_U, Z_inf and F_p read as intervals of G's lattice, against the
+    routes through quotient groups."""
+    assert se.u_hypercentre(group) == quotient_u_hypercentre(group), name
+    assert se.hypercentre(group) == quotient_hypercentre(group), name
+    for p in prime_divisors(group.order):
+        assert se.fitting_p(group, p) == quotient_fitting_p(group, p), (name, p)
+
+
+def _check_normal_subgroups(name, group):
+    """Radicals and tests of every normal E read as E ∩ radical(G) and off
+    G's covers, against E and G/O_p'(E) built as groups."""
+    f_star = se.f_star(group)
+    for i, e in enumerate(se.normal_lattice(group).nodes):
+        assert intersect(e, f_star) == child_f_star(e), (name, e.order)
+        for p in prime_divisors(group.order):
+            where = (name, e.order, p)
+            o = o_p_prime_of_normal(e, p)
+            assert o == child_o_p_prime(e, p), where
+            assert intersect(e, se.fitting_p(group, p)) == child_fitting_p(e, p), where
+            assert p_soluble_nodes(group, p)[i] == child_is_p_soluble(e, p), where
+            p_nilpotent, _ = _e_p_nilpotent(group, {"p": p, "E": e})
+            assert p_nilpotent == child_is_p_nilpotent(e, p), where
+            assert u_hypercentre_over(o) == child_z_u_mod_o_p_prime(e, p), where
+            s = sylow_of_normal(e, p)
+            assert s.is_subset_of(e) and s.order == p_part(e.order, p), where
+
+
+def test_lattice_structure_matches_child_group_oracles():
+    for name, group in se.builtin_corpus(120):
+        _check_group_level(name, group)
+        for node in se.normal_lattice(group).nodes:
+            assert u_hypercentre_over(node) == quotient_u_hypercentre_over(node), name
+        _check_normal_subgroups(name, group)
+
+
+def test_lattice_rich_structure_matches_child_group_oracles():
+    for name, group in _lattice_rich_groups():
+        _check_group_level(name, group)
+        # every node of a nilpotent group is nilpotent, so its radicals are
+        # forced; the 3000 nodes of the seven nilpotent ones as child groups
+        # would add about 11 s
+        if not se.is_nilpotent(group):
+            _check_normal_subgroups(name, group)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -188,12 +189,59 @@ def test_run_corpus_deterministic_modulo_timing(tmp_path):
 SMALL_RUN_SHA256 = "52b83f0a6d17aba0730a1b0be9a6dfee6d54f735ec548a28d7dc280e6d0cb298"
 
 
+def _digest(report) -> str:
+    body = report.to_dict()
+    body.pop("timing_ms")
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_small_run_has_zero_counterexamples():
     report = run_corpus(list(THEOREM_IDS), max_order=48)
     assert report.total_counterexamples == 0
     for summary in report.theorems:
         assert summary.counterexample_bindings == []
-    body = report.to_dict()
-    body.pop("timing_ms")
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_RUN_SHA256
+    assert _digest(report) == SMALL_RUN_SHA256
+
+
+def test_run_builds_no_child_group_but_f_star(monkeypatch):
+    """Every structure a run checks is read off G's own lattice; the one
+    child group is F*(G)'s F·C_G(F) with its quotient by F."""
+    se.builtin_corpus(48)  # building the corpus generates groups; the run must not
+    modules = [m for name, m in sys.modules.items() if name.startswith("subembed")]
+
+    def rebind(original, replacement):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+    depth = [0]
+    outside_f_star = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                outside_f_star.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def inside_f_star(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return f_star(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for name, fn in [
+        ("generate_group", se.groups.generate_group),
+        ("quotient", se.normal.quotient),
+        ("subgroup_as_group", se.normal.subgroup_as_group),
+    ]:
+        rebind(fn, counting(name, fn))
+    f_star = se.classify.f_star
+    rebind(f_star, inside_f_star)
+    report = run_corpus(list(THEOREM_IDS), max_order=48)
+    assert outside_f_star == []
+    assert _digest(report) == SMALL_RUN_SHA256

@@ -197,6 +197,27 @@ def test_quotient_rejects_non_normal(by_name):
         se.quotient(s3, flip)
 
 
+def test_quotient_checks_normality_once_per_kernel(monkeypatch):
+    g = se.build(se.Sym(4))  # a fresh group, so no quotient is cached yet
+    checked = []
+    real = Subgroup.is_normal
+
+    def counting(sub):
+        checked.append(sub.mask)
+        return real(sub)
+
+    monkeypatch.setattr(Subgroup, "is_normal", counting)
+    kernel = se.normal_lattice(g).nodes[1]
+    first = se.quotient(g, kernel)
+    assert se.quotient(g, Subgroup(g, kernel.mask)) is first
+    assert checked == [kernel.mask]
+    flip = se.span(g, [idx(g, "(1 2)")])
+    for _ in range(2):  # a rejected kernel is not cached, so it is re-checked
+        with pytest.raises(ValueError, match="not normal"):
+            se.quotient(g, flip)
+    assert checked == [kernel.mask, flip.mask, flip.mask]
+
+
 def test_is_chief_factor(by_name):
     s4 = by_name["S4"]
     lat = se.normal_lattice(s4)
