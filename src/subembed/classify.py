@@ -5,9 +5,9 @@ By the correspondence theorem the lattice of G/K is the interval [K, G], so
 Z_U(G/K), Z_inf and O_{p',p}(G) are joins of covers and nodes above K. For a
 Fitting class F and E normal in G, E_F = E ∩ G_F (Doerk–Hawkes, *Finite
 Soluble Groups*, 1992), so the harness reads O_p'(E), F_p(E) and F*(E) as
-E ∩ O_p'(G), E ∩ F_p(G) and E ∩ F*(G). Only ``f_star`` builds child groups,
-when F·C_G(F) > F (never for soluble G): F·C_G(F) and its quotient by F,
-whose normal subgroups need not be normal in G.
+E ∩ O_p'(G), E ∩ F_p(G) and E ∩ F*(G). F*(G) and the Sylow subgroups of
+any subgroup are read inside G too (``f_star``, ``_grow_sylow``), so no
+routine here builds a group of its own.
 
 Solubility is computed along two independent routes (derived series and
 chief-factor orders) and the two are asserted equal, as a standing
@@ -19,18 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .groups import FiniteGroup
-from .normal import (
-    a_chief_series,
-    normal_lattice,
-    pull_to_parent,
-    quotient,
-    socle,
-    subgroup_as_group,
-)
+from .normal import a_chief_series, normal_lattice
 from .subgroups import (
     Subgroup,
     centralizer,
     derived_of_subgroup,
+    intersect,
     is_pi_number,
     is_prime,
     lower_central_series,
@@ -47,26 +41,34 @@ def primes_of_group(group: FiniteGroup) -> tuple[int, ...]:
 
 
 def sylow(group: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown deterministically through normalizers.
-
-    Starting from the cyclic group on the first p-element, a proper
-    p-subgroup is proper in its normalizer inside any Sylow overgroup, so
-    scanning the normalizer for a p-element outside always makes progress.
-    """
+    """A Sylow p-subgroup of G, grown by ``_grow_sylow`` from the whole group."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return group.memo("sylow", p, lambda: _grow_sylow(group, p))
+    return group.memo("sylow", p, lambda: _grow_sylow(Subgroup.whole(group), p))
 
 
-def _grow_sylow(group: FiniteGroup, p: int) -> Subgroup:
-    target = p_part(group.order, p)
+def sylow_of_subgroup(sub: Subgroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup of ``sub``, grown inside the parent group."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p_part(sub.order, p) == sub.order:
+        return sub  # a p-group is its own Sylow p-subgroup
+    return sub.group.memo("sylow", (sub.mask, p), lambda: _grow_sylow(sub, p))
+
+
+def _grow_sylow(sub: Subgroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup of H = ``sub``, grown from H's first p-element: a
+    p-subgroup P below a Sylow S of H is proper in N_S(P), so N_G(P) ∩ H
+    holds a p-element outside P, which spans a larger p-group with P."""
+    group = sub.group
+    target = p_part(sub.order, p)
     if target == 1:
         return Subgroup.trivial(group)
     orders = group.element_orders
-    first = next(i for i in range(group.order) if int(orders[i]) == p)
+    first = next(i for i in sub.indices if int(orders[i]) == p)
     current = span(group, [first])
     while current.order < target:
-        norm = normalizer(group, current)
+        norm = intersect(normalizer(group, current), sub)
         grown = None
         for i in norm.indices:
             o = int(orders[i])
@@ -94,14 +96,6 @@ def sylow_conjugates(group: FiniteGroup, p: int) -> list[Subgroup]:
         return out
 
     return group.memo("sylow_orbit", p, orbit)
-
-
-def sylow_of_subgroup(sub: Subgroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup of ``sub``, as a subgroup of the parent group."""
-    if p_part(sub.order, p) == sub.order:
-        return sub  # a p-group is its own Sylow p-subgroup
-    child, to_parent, _ = subgroup_as_group(sub)
-    return pull_to_parent(sylow(child, p), to_parent, sub.group)
 
 
 def radical_p(group: FiniteGroup, p: int) -> Subgroup:
@@ -293,21 +287,23 @@ def _layered_join(base: Subgroup, admits) -> Subgroup:
 
 
 def f_star(group: FiniteGroup) -> Subgroup:
-    """Generalized Fitting subgroup via F*(G)/F(G) = Soc(F·C_G(F)/F)."""
-    fit = fitting(group)
-    if fit.order == group.order:
-        return fit
-    fc = product_with_normal(centralizer(group, fit), fit)
-    if fc == fit:
-        return fit  # F·C_G(F)/F is trivial, so is its socle
-    child, to_parent, from_parent = subgroup_as_group(fc)
-    from .normal import push_to_child
+    """F*(G): the join of the covers L of F = F(G) in G's lattice with
+    L ≤ F·C_G(F), one layer only (a layered join would climb from A5 to S5).
 
-    fit_in_child = push_to_child(fit, from_parent, child)
-    qmap = quotient(child, fit_in_child)
-    soc = socle(qmap.image)
-    lifted = pull_to_parent(qmap.preimage_subgroup(soc), to_parent, group)
-    return product_with_normal(lifted, fit)
+    F*(G)/F = Soc(F·C_G(F)/F) ≅ E(G)/Z(E(G)) (Huppert–Blackburn, *Finite
+    Groups III*, X.13) is a product of non-abelian simple groups that G
+    permutes, so it is the product of the minimal normal subgroups of G/F
+    that it contains; and a minimal normal M/F of G/F inside F·C_G(F)/F
+    contains one of F·C_G(F)/F, so it meets the socle and lies in it.
+    """
+    fit = fitting(group)
+    fc = product_with_normal(centralizer(group, fit), fit)
+    lat = normal_lattice(group)
+    k = out = lat.node_id(fit)
+    for l in lat.up[k]:
+        if lat.nodes[l].is_subset_of(fc):
+            out = lat.join_id(out, l)
+    return lat.nodes[out]
 
 
 def nilpotent_residual(group: FiniteGroup) -> Subgroup:

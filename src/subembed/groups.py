@@ -61,8 +61,7 @@ class FiniteGroup:
         self._inv = None
         self._orders = None
         self._classes = None
-        self._conj_tables: dict[int, np.ndarray] = {}
-        # caches owned by other modules, keyed by masks / primes
+        # every per-group cache (see memo), keyed by masks, primes or indices
         self.cache: dict[str, dict] = {}
 
     def __repr__(self):
@@ -177,13 +176,10 @@ class FiniteGroup:
 
     def conj_by_all(self, h: int) -> np.ndarray:
         """Indices of h^g for every g, as an array indexed by g."""
-        out = self._conj_tables.get(h)
-        if out is None:
-            table = self.table
-            g_inv_h = table[:, h][self.inv]
-            out = table[g_inv_h, np.arange(self.order)]
-            self._conj_tables[h] = out
-        return out
+        table = self.table
+        return self.memo(
+            "conj_by_all", h, lambda: table[table[:, h][self.inv], np.arange(self.order)]
+        )
 
     def right_maps(self, gs) -> np.ndarray:
         """Row t is the map x -> x*gs[t], indexed by x."""

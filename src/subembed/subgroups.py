@@ -267,6 +267,8 @@ def exponent(h: Subgroup) -> int:
 def p_part(n: int, p: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
+    if p < 2:
+        raise ValueError(f"{p} is not a valid base (must be at least 2)")
     out = 1
     while n % p == 0:
         n //= p
@@ -279,6 +281,8 @@ def is_pi_number(n: int, pi) -> bool:
     if n < 1:
         raise ValueError("n must be positive")
     for q in pi:
+        if q < 2:
+            raise ValueError(f"{q} is not a valid base (must be at least 2)")
         while n % q == 0:
             n //= q
     return n == 1

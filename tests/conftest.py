@@ -197,3 +197,23 @@ def child_is_p_nilpotent(e, p):
 def child_z_u_mod_o_p_prime(e, p):
     """The preimage in G of Z_U(G/O_p'(E)), both read from child groups."""
     return quotient_u_hypercentre_over(child_o_p_prime(e, p))
+
+
+def child_group_f_star(group):
+    """F*(G) as the preimage of Soc(F·C_G(F)/F), with F·C_G(F) and its
+    quotient by F = F(G) built as groups."""
+    from subembed.subgroups import product_with_normal
+
+    fit = se.fitting(group)
+    fc = product_with_normal(se.centralizer(group, fit), fit)
+    child, to_parent, from_parent = se.subgroup_as_group(fc)
+    kernel = se.Subgroup.from_indices(child, [from_parent[i] for i in fit.indices])
+    qmap = se.quotient(child, kernel)
+    soc = qmap.preimage_subgroup(se.socle(qmap.image))
+    return se.Subgroup.from_indices(group, to_parent[soc.index_array])
+
+
+def child_sylow_of_subgroup(h, p):
+    """A Sylow p-subgroup of H, computed in H built as a group."""
+    child, lift = _as_child(h)
+    return lift(se.sylow(child, p))

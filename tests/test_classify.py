@@ -1,7 +1,12 @@
+import random
+
+import pytest
+
 import subembed as se
 from subembed.classify import (
     class_report,
     p_soluble_nodes,
+    sylow_of_subgroup,
     soluble_by_chief_factors,
     soluble_by_derived_series,
     u_hypercentre_over,
@@ -14,9 +19,11 @@ from conftest import (
     brute_u_hypercentre,
     child_f_star,
     child_fitting_p,
+    child_group_f_star,
     child_is_p_nilpotent,
     child_is_p_soluble,
     child_o_p_prime,
+    child_sylow_of_subgroup,
     child_z_u_mod_o_p_prime,
     quotient_fitting_p,
     quotient_hypercentre,
@@ -37,6 +44,46 @@ def test_sylow_full_p_part():
     for name, group in se.builtin_corpus(120):
         for p in prime_divisors(group.order):
             assert se.sylow(group, p).order == p_part(group.order, p)
+
+
+def test_sylow_of_subgroup_rejects_non_prime(by_name):
+    with pytest.raises(ValueError):
+        sylow_of_subgroup(se.Subgroup.whole(by_name["C2^2"]), 4)
+    with pytest.raises(ValueError):
+        sylow_of_subgroup(se.sylow(by_name["S4"], 2), 4)
+
+
+def _query_mix_groups():
+    """The eight groups of the ``query-mix`` benchmark."""
+    D = se.Direct
+    exprs = [
+        se.Sym(5),
+        se.SL23(),
+        D(se.Alt(4), se.Cyclic(3)),
+        D(se.Dihedral(8), se.Cyclic(2)),
+        se.ElemAbelian(5, 3),
+        se.Sym(6),
+        D(se.Alt(5), se.Sym(3)),
+        D(se.SL23(), se.Sym(4)),
+    ]
+    return [se.build(expr) for expr in exprs]
+
+
+def test_sylow_of_subgroup_matches_child_group_oracle():
+    """Grown inside G, a Sylow subgroup of H is H-conjugate to the one found
+    in H built as a group, over lattice nodes and random spans."""
+    rng = random.Random(7)
+    for group in _query_mix_groups():
+        spans = [
+            se.span(group, [rng.randrange(group.order) for _ in range(rng.choice((1, 2)))])
+            for _ in range(12)
+        ]
+        for h in list(se.normal_lattice(group).nodes) + spans:
+            for p in prime_divisors(h.order):
+                ours, oracle = sylow_of_subgroup(h, p), child_sylow_of_subgroup(h, p)
+                assert ours.order == oracle.order == p_part(h.order, p)
+                assert ours.is_subset_of(h)
+                assert any(ours.conjugate(x) == oracle for x in h.indices), (group, h, p)
 
 
 def test_sylow_conjugates_counts(by_name):
@@ -149,6 +196,37 @@ def test_f_star_examples(by_name):
     assert se.f_star(by_name["A5"]).order == 60
     assert se.f_star(by_name["S4"]).order == 4
     assert se.f_star(by_name["C12"]).order == 12
+
+
+def test_f_star_matches_child_group_oracle():
+    """The covers of F(G) inside F·C_G(F), against Soc(F·C_G(F)/F) with
+    F·C_G(F) and its quotient built as groups."""
+    D = se.Direct
+    extra = {
+        "S5xC3": D(se.Sym(5), se.Cyclic(3)),
+        "A5xS3": D(se.Alt(5), se.Sym(3)),
+        "A5xA4": D(se.Alt(5), se.Alt(4)),
+        "A5xC2^2": D(se.Alt(5), se.ElemAbelian(2, 2)),
+        "S6": se.Sym(6),
+        "A6": se.Alt(6),
+        "A5xA5": D(se.Alt(5), se.Alt(5)),
+        "S5xS3": D(se.Sym(5), se.Sym(3)),
+        "SL(2,3)xA5": D(se.SL23(), se.Alt(5)),
+        "SL(2,5)": se.Perm(
+            24,
+            (
+                "(1 6 11 16 21)(2 12 22 7 17)(3 18 8 23 13)(4 24 19 14 9)",
+                "(1 20 4 5)(2 15 3 10)(6 21 24 9)(7 16 23 14)(8 11 22 19)(12 17 18 13)",
+            ),
+        ),
+    }
+    groups = se.builtin_corpus(400, include_example_1875=True)
+    groups += [(name, se.build(expr)) for name, expr in extra.items()]
+    for name, group in groups:
+        assert se.f_star(group) == child_group_f_star(group), name
+    sl25 = dict(groups)["SL(2,5)"]
+    assert se.fitting(sl25).order == 2
+    assert se.f_star(sl25).order == 120
 
 
 def test_f_star_equals_fitting_when_soluble():

@@ -204,44 +204,38 @@ def test_small_run_has_zero_counterexamples():
     assert _digest(report) == SMALL_RUN_SHA256
 
 
-def test_run_builds_no_child_group_but_f_star(monkeypatch):
-    """Every structure a run checks is read off G's own lattice; the one
-    child group is F*(G)'s F·C_G(F) with its quotient by F."""
-    se.builtin_corpus(48)  # building the corpus generates groups; the run must not
+def test_run_builds_no_child_group(monkeypatch):
+    """Every structure a run checks is read inside G: no group is generated,
+    no quotient built and no subgroup made a group of its own, in theorem
+    runs (S5 and A5 included) or in ``s_qn_embedded``, whose H need not be
+    a p-group or normal."""
+    # building groups generates them; the runs and queries must not
+    s5, s6 = dict(se.builtin_corpus(120))["S5"], se.build(se.Sym(6))
     modules = [m for name, m in sys.modules.items() if name.startswith("subembed")]
-
-    def rebind(original, replacement):
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
-
-    depth = [0]
-    outside_f_star = []
+    calls = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            if not depth[0]:
-                outside_f_star.append(name)
+            calls.append(name)
             return fn(*args, **kwargs)
 
         return wrapper
-
-    def inside_f_star(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return f_star(*args, **kwargs)
-        finally:
-            depth[0] -= 1
 
     for name, fn in [
         ("generate_group", se.groups.generate_group),
         ("quotient", se.normal.quotient),
         ("subgroup_as_group", se.normal.subgroup_as_group),
     ]:
-        rebind(fn, counting(name, fn))
-    f_star = se.classify.f_star
-    rebind(f_star, inside_f_star)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
     report = run_corpus(list(THEOREM_IDS), max_order=48)
-    assert outside_f_star == []
     assert _digest(report) == SMALL_RUN_SHA256
+    run_corpus(list(THEOREM_IDS), max_order=120)
+    for group in (s5, s6):
+        # the pools are p-groups, the lattice nodes are not
+        pool = [h for _, h in standard_pool(group)] + list(se.normal_lattice(group).nodes)
+        for h in pool:
+            se.s_qn_embedded(group, h)
+    assert calls == []

@@ -270,6 +270,17 @@ def test_p_part_examples():
     assert se.p_part(7, 2) == 1
 
 
+def test_bases_below_two_raise(by_name):
+    with pytest.raises(ValueError):
+        se.p_part(12, 1)
+    with pytest.raises(ValueError):
+        se.p_part(12, 0)
+    with pytest.raises(ValueError):
+        se.is_pi_number(12, (1,))
+    with pytest.raises(ValueError):
+        se.radical_p(by_name["S3"], 1)
+
+
 def test_is_pi_number_examples():
     assert se.is_pi_number(1, ())
     assert not se.is_pi_number(6, (5,))
