@@ -360,10 +360,6 @@ class ClassReport:
 
 
 def class_report(group: FiniteGroup) -> ClassReport:
-    return group.memo("class_report", "report", lambda: _build_report(group))
-
-
-def _build_report(group: FiniteGroup) -> ClassReport:
     from .subgroups import center
 
     primes = {}

@@ -61,30 +61,25 @@ class FiniteGroup:
         self._inv = None
         self._orders = None
         self._classes = None
-        # every per-group cache (see memo), keyed by masks, primes or indices
+        # every per-group cache (see memo), keyed by masks and primes
         self.cache: dict[str, dict] = {}
 
     def __repr__(self):
         label = self.name or "group"
         return f"<FiniteGroup {label} order={self.order} degree={self.degree}>"
 
-    def scratch(self, section: str) -> dict:
-        """A named per-group cache dict (idempotent fills only)."""
-        table = self.cache.get(section)
-        if table is None:
-            table = self.cache.setdefault(section, {})
-        return table
-
     def memo(self, section: str, key, compute):
-        """The value stored under ``key`` in ``scratch(section)``, filled by
+        """The value stored under ``key`` in ``cache[section]``, filled by
         ``compute()`` on a miss.
 
         Every per-group cache goes through here. Values are never None, and
         fills are idempotent: if two threads race, the first stored value is
         kept and both return it. Callers validate their inputs first, since
-        a hit skips ``compute``.
+        a hit skips ``compute``. Add a section only where its hits pay: a
+        value asked for about once per key, or about as cheap to recompute
+        as to look up, is computed directly.
         """
-        table = self.scratch(section)
+        table = self.cache.setdefault(section, {})
         got = table.get(key)
         if got is None:
             got = table.setdefault(key, compute())
@@ -176,10 +171,9 @@ class FiniteGroup:
 
     def conj_by_all(self, h: int) -> np.ndarray:
         """Indices of h^g for every g, as an array indexed by g."""
+        (h,) = self._checked([h])
         table = self.table
-        return self.memo(
-            "conj_by_all", h, lambda: table[table[:, h][self.inv], np.arange(self.order)]
-        )
+        return table[table[:, h][self.inv], np.arange(self.order)]
 
     def right_maps(self, gs) -> np.ndarray:
         """Row t is the map x -> x*gs[t], indexed by x."""

@@ -180,15 +180,11 @@ def chief_series_enumerate(group: FiniteGroup, limit: int) -> list[ChiefSeries]:
 
 def a_chief_series(group: FiniteGroup) -> ChiefSeries:
     """One chief series, deterministically (smallest cover successor first)."""
-
-    def walk() -> ChiefSeries:
-        lat = normal_lattice(group)
-        path = [0]
-        while path[-1] != lat.top:
-            path.append(lat.up[path[-1]][0])
-        return _series_along(lat, tuple(path))
-
-    return group.memo("chief", "series", walk)
+    lat = normal_lattice(group)
+    path = [0]
+    while path[-1] != lat.top:
+        path.append(lat.up[path[-1]][0])
+    return _series_along(lat, tuple(path))
 
 
 def is_chief_factor(group: FiniteGroup, lower: Subgroup, upper: Subgroup) -> bool:

@@ -51,7 +51,14 @@ def test_memo_computes_once_per_key():
     assert group.memo("demo", 5, compute) is first
     assert group.memo("other", 5, compute) is not first
     assert second is not first and len(calls) == 3
-    assert group.scratch("demo") == {5: first, 6: second}
+    assert group.cache["demo"] == {5: first, 6: second}
+
+
+def test_conj_by_all_rejects_out_of_range_index():
+    s4 = se.build(se.Sym(4))
+    for h in (-1, s4.order):
+        with pytest.raises(ValueError, match="out of range"):
+            s4.conj_by_all(h)
 
 
 def test_identity_is_index_zero():

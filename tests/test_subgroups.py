@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,9 +8,15 @@ from hypothesis import strategies as st
 
 import subembed as se
 from subembed import parse_cycles
-from subembed.subgroups import Subgroup, is_cyclic_subgroup, prime_divisors
+from subembed.subgroups import (
+    Subgroup,
+    indices_from_mask,
+    is_cyclic_subgroup,
+    prime_divisors,
+    product_mask,
+)
 
-from conftest import raw_closure
+from conftest import raw_closure, raw_compose
 
 
 def idx(group, text):
@@ -108,6 +115,44 @@ def test_product_transposition_with_rotation_is_whole(by_name):
     elems, is_sub = se.product(a, b)
     assert len(elems) == 6
     assert is_sub
+
+
+def _raw_product_matches(a, b, images):
+    """product_mask(a, b) is exactly {xy}, composed from the raw images."""
+    got = {images[i] for i in indices_from_mask(product_mask(a, b))}
+    raw = {raw_compose(images[i], images[j]) for i in a.indices for j in b.indices}
+    return got == raw
+
+
+def _images(group):
+    return [group.perm(i).images for i in range(group.order)]
+
+
+def test_product_mask_is_the_raw_product_set(corpus400, group1875):
+    s3 = dict(corpus400)["S3"]
+    a = se.span(s3, [idx(s3, "(1 2)")])
+    b = se.span(s3, [idx(s3, "(1 3)")])
+    assert product_mask(a, b) != product_mask(b, a)
+    images = _images(s3)
+    assert _raw_product_matches(a, b, images) and _raw_product_matches(b, a, images)
+    for _, group in se.builtin_corpus(24):
+        images = _images(group)
+        subs = {n.mask: n for n in se.normal_lattice(group).nodes}
+        subs.update((sub.mask, sub) for _, sub in se.standard_pool(group))
+        for x in subs.values():
+            for y in subs.values():
+                assert _raw_product_matches(x, y, images)
+    images = _images(group1875)
+    rng = random.Random(0)
+    pairs = 0
+    while pairs < 8:
+        x, y = (
+            se.span(group1875, rng.sample(range(1875), rng.randint(1, 2)))
+            for _ in range(2)
+        )
+        if x.order * y.order <= 20000 and not (x.is_subset_of(y) or y.is_subset_of(x)):
+            assert _raw_product_matches(x, y, images)
+            pairs += 1
 
 
 @given(st.data())
@@ -257,6 +302,22 @@ def test_cyclic_subgroups_of_order(by_name):
     assert len(se.cyclic_subgroups_of_order(Subgroup.whole(by_name["C2^2"]), 2)) == 3
     assert len(se.cyclic_subgroups_of_order(Subgroup.whole(by_name["C5"]), 5)) == 1
     assert len(se.cyclic_subgroups_of_order(Subgroup.whole(by_name["Q8"]), 4)) == 3
+
+
+def test_cyclic_subgroups_match_one_span_per_element(corpus400, group1875):
+    groups = [group for _, group in corpus400] + [group1875]
+    for group in groups:
+        for p in prime_divisors(group.order):
+            syl = se.sylow(group, p)
+            for m in (p, 4) if p == 2 else (p,):
+                # reference: span every element of order m, keep first sightings
+                expected = dict.fromkeys(
+                    se.span(group, [i]).mask
+                    for i in syl.indices
+                    if group.element_order(i) == m
+                )
+                got = se.cyclic_subgroups_of_order(syl, m)
+                assert [sub.mask for sub in got] == list(expected)
 
 
 def test_cyclic_subgroups_order4_rejected_for_odd(by_name):
