@@ -9,6 +9,14 @@ the top exists iff an admissible chief series does. This avoids enumerating
 chains, which is exponential for elementary abelian groups. "Every chief
 factor works" (``cap``, ``gen_cap``) scans the cover pairs and reports the
 first one that fails.
+
+Every per-factor test reads the section X = (H∩L)K off its order first.
+Since (H∩L)∩K = H∩K, |X| = |H∩L|·|K|/|H∩K| comes from three mask popcounts.
+K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup strictly
+between them that is not normal. X = K means H∩L ≤ K (the factor is
+avoided); X = K or X = L means X is normal, with normalizer index 1. Only a
+section strictly between K and L is built as a product and has its
+normalizer scanned; on a prime-order factor that never happens.
 """
 
 from __future__ import annotations
@@ -49,17 +57,32 @@ class Verdict:
         return self.holds
 
 
-def _section_subgroup(group, h: Subgroup, lat: NormalLattice, k: int, l: int) -> Subgroup:
+def _require_own_subgroup(group: FiniteGroup, h: Subgroup) -> None:
+    if h.group is not group:
+        raise ValueError("subgroup has a different parent group")
+
+
+def _section_subgroup(h: Subgroup, lat: NormalLattice, k: int, l: int) -> Subgroup:
     """(H ∩ L)K for the cover pair (K, L); a subgroup since K is normal."""
     inter = intersect(h, lat.nodes[l])
     return product_with_normal(inter, lat.nodes[k])
 
 
-def _normalizer_index_is_pi(group, lat, x: Subgroup, pi) -> bool:
-    """|G : N_G(X)| a pi-number; N_{G/K}(X/K) = N_G(X)/K since K <= X is normal,
-    so the index upstairs equals the index in G."""
-    if x.mask in lat.node_by_mask:
-        return True  # X itself normal: index 1
+def _section_order(h: Subgroup, lat: NormalLattice, k: int, l: int) -> int:
+    """|(H ∩ L)K| = |H∩L|·|K|/|H∩K|, since (H∩L)∩K = H∩K for K <= L."""
+    low, high = lat.nodes[k], lat.nodes[l]
+    meet_low = (h.mask & low.mask).bit_count()
+    return (h.mask & high.mask).bit_count() * low.order // meet_low
+
+
+def _section_index_is_pi(group, h, lat, k: int, l: int, order: int, pi) -> bool:
+    """|G : N_G(X)| a pi-number for the section X = (H∩L)K of this order.
+    X = K or X = L is normal, of index 1; any other X is built and its
+    normalizer scanned. N_{G/K}(X/K) = N_G(X)/K since K <= X is normal, so
+    the index upstairs equals the index in G."""
+    if order in (lat.nodes[k].order, lat.nodes[l].order):
+        return True
+    x = _section_subgroup(h, lat, k, l)
     return is_pi_number(group.order // normalizer(group, x).order, pi)
 
 
@@ -106,17 +129,18 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
 
     H must be a p-subgroup of G.
     """
+    _require_own_subgroup(group, h)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p_part(h.order, p) != h.order:
         raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
 
     def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
-        x = _section_subgroup(group, h, lat, k, l)
-        factor = lat.nodes[l].order // lat.nodes[k].order
-        if x.order // lat.nodes[k].order == p_part(factor, p):
+        low = lat.nodes[k].order
+        order = _section_order(h, lat, k, l)
+        if order // low == p_part(lat.nodes[l].order // low, p):
             return True  # X/K is a p-group, so full p-part means Sylow
-        return _normalizer_index_is_pi(group, lat, x, (p,))
+        return _section_index_is_pi(group, h, lat, k, l, order, (p,))
 
     return group.memo(
         "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, edge_ok)
@@ -127,23 +151,30 @@ def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     """True iff some chief series has, on every factor, |G : N_G((H∩L)K)| a
     pi((H∩L)K/K)-number. Only 1 is an empty-pi number, which is harmless:
     an avoided factor forces X = K, normal of index 1."""
+    _require_own_subgroup(group, h)
 
     def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
-        x = _section_subgroup(group, h, lat, k, l)
-        pi = prime_divisors(x.order // lat.nodes[k].order)
-        return _normalizer_index_is_pi(group, lat, x, pi)
+        order = _section_order(h, lat, k, l)
+        pi = prime_divisors(order // lat.nodes[k].order)
+        return _section_index_is_pi(group, h, lat, k, l, order, pi)
 
     return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, edge_ok))
 
 
 def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
-    """Cover-avoidance: every chief factor L/K has L <= HK or H∩L <= K."""
+    """Cover-avoidance: every chief factor L/K has L <= HK or H∩L <= K.
+
+    Both clauses are order tests on X = (H∩L)K. H∩L <= K iff H∩L = H∩K iff
+    |X| = |K|. Since K <= L, Dedekind's law gives HK ∩ L = (H∩L)K, so
+    L <= HK iff X = L iff |X| = |L|. No product is built.
+    """
+    _require_own_subgroup(group, h)
 
     def refute(lat: NormalLattice, k: int, l: int) -> str | None:
-        low, high = lat.nodes[k], lat.nodes[l]
-        if intersect(h, high).is_subset_of(low):
+        order = _section_order(h, lat, k, l)
+        if order == lat.nodes[k].order:
             return None  # avoided
-        if high.mask & ~product_mask(h, low) == 0:
+        if order == lat.nodes[l].order:
             return None  # covered
         return "neither covers nor avoids"
 
@@ -157,22 +188,24 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
 
     A chief factor is abelian exactly when its order is a prime power, so
     the two non-avoided branches are distinguished by the factor order.
+    Both read |(H∩L)K| off popcounts; only the q-factor branch, for a section
+    strictly between K and L, builds (H∩L)K to scan its normalizer.
     """
+    _require_own_subgroup(group, h)
 
     def refute(lat: NormalLattice, k: int, l: int) -> str | None:
-        low, high = lat.nodes[k], lat.nodes[l]
-        if intersect(h, high).is_subset_of(low):
-            return None
-        x = _section_subgroup(group, h, lat, k, l)
-        factor = high.order // low.order
-        factor_primes = prime_divisors(factor)
+        low, high = lat.nodes[k].order, lat.nodes[l].order
+        order = _section_order(h, lat, k, l)
+        if order == low:
+            return None  # avoided
+        factor_primes = prime_divisors(high // low)
         if len(factor_primes) == 1:
             q = factor_primes[0]
-            if _normalizer_index_is_pi(group, lat, x, (q,)):
+            if _section_index_is_pi(group, h, lat, k, l, order, (q,)):
                 return None
             return f"|G : N_G((H∩L)K)| is not a {q}-number"
-        cofactor = high.order // x.order
-        bad = [q for q in prime_divisors(x.order // low.order) if cofactor % q == 0]
+        cofactor = high // order
+        bad = [q for q in prime_divisors(order // low) if cofactor % q == 0]
         if bad:
             return f"|L : (H∩L)K| is divisible by {bad[0]}"
         return None
@@ -184,6 +217,8 @@ def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff H permutes with every Sylow subgroup of G (HS = SH for all
     conjugates of every Sylow subgroup)."""
     from .classify import primes_of_group, sylow_conjugates
+
+    _require_own_subgroup(group, h)
 
     def permutes() -> bool:
         if h.is_normal():
@@ -212,6 +247,8 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     from .classify import sylow_of_subgroup
     from .subgroups import span
 
+    _require_own_subgroup(group, h)
+
     def search() -> bool:
         lat = normal_lattice(group)
         for q in prime_divisors(h.order):
@@ -237,15 +274,18 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
 def recheck_witness_partial_s_pi(
     group: FiniteGroup, h: Subgroup, p: int, chain: tuple[int, ...]
 ) -> bool:
-    """Re-validate a witness chain clause by clause (used for spot audits)."""
+    """Re-validate a witness chain clause by clause (used for spot audits).
+
+    Each section (H∩L)K is built as a product and its normalizer scanned,
+    independently of the order tests the predicate itself uses."""
     lat = normal_lattice(group)
-    if chain[0] != 0 or chain[-1] != lat.top:
+    if not chain or chain[0] != 0 or chain[-1] != lat.top:
         return False
     cover_set = set(lat.covers)
     for k, l in zip(chain, chain[1:]):
         if (k, l) not in cover_set:
             return False
-        x = _section_subgroup(group, h, lat, k, l)
+        x = _section_subgroup(h, lat, k, l)
         factor = lat.nodes[l].order // lat.nodes[k].order
         sylow_clause = x.order // lat.nodes[k].order == p_part(factor, p)
         index = group.order // normalizer(group, x).order

@@ -20,6 +20,23 @@ def by_name(corpus400):
 
 
 @pytest.fixture(scope="session")
+def query_mix_groups():
+    """The eight groups of the ``query-mix`` benchmark workload, built fresh."""
+    D = se.Direct
+    exprs = [
+        ("S5", se.Sym(5)),
+        ("SL(2,3)", se.SL23()),
+        ("A4xC3", D(se.Alt(4), se.Cyclic(3))),
+        ("D8xC2", D(se.Dihedral(8), se.Cyclic(2))),
+        ("C5^3", se.ElemAbelian(5, 3)),
+        ("S6", se.Sym(6)),
+        ("A5xS3", D(se.Alt(5), se.Sym(3))),
+        ("SL(2,3)xS4", D(se.SL23(), se.Sym(4))),
+    ]
+    return [(name, se.build(expr)) for name, expr in exprs]
+
+
+@pytest.fixture(scope="session")
 def group1875():
     corpus = se.builtin_corpus(1, include_example_1875=True)
     return dict(corpus)["(C5^2xC5^2):C3"]
@@ -112,6 +129,53 @@ def brute_partial_s_pi(group, h, p, series_limit=500) -> bool:
         if ok:
             return True
     return False
+
+
+# -- full-product oracles ------------------------------------------------------
+# The library reads each section (H∩L)K off its order. These oracles build
+# every section as a product, as the definitions read, and return the verdict
+# with the first failing cover pair and its reason: (holds, (lower, upper) or
+# None, reason or None).
+
+
+def product_cap(group, h):
+    """CAP: each factor covered (L <= HK, tested on the product set HK) or
+    avoided (H∩L <= K)."""
+    from subembed.subgroups import product_mask
+
+    lat = se.normal_lattice(group)
+    for k, l in lat.covers:
+        low, high = lat.nodes[k], lat.nodes[l]
+        if se.intersect(h, high).is_subset_of(low):
+            continue
+        if high.mask & ~product_mask(h, low) == 0:
+            continue
+        return False, (k, l), "neither covers nor avoids"
+    return True, None, None
+
+
+def product_gen_cap(group, h):
+    """gen-CAP with (H∩L)K built by product_mask on every non-avoided factor."""
+    from subembed.subgroups import prime_divisors, product_with_normal
+
+    lat = se.normal_lattice(group)
+    for k, l in lat.covers:
+        low, high = lat.nodes[k], lat.nodes[l]
+        if se.intersect(h, high).is_subset_of(low):
+            continue
+        x = product_with_normal(se.intersect(h, high), low)
+        factor_primes = prime_divisors(high.order // low.order)
+        if len(factor_primes) == 1:
+            q = factor_primes[0]
+            index = group.order // se.normalizer(group, x).order
+            if se.is_pi_number(index, (q,)):
+                continue
+            return False, (k, l), f"|G : N_G((H∩L)K)| is not a {q}-number"
+        cofactor = high.order // x.order
+        bad = [q for q in prime_divisors(x.order // low.order) if cofactor % q == 0]
+        if bad:
+            return False, (k, l), f"|L : (H∩L)K| is divisible by {bad[0]}"
+    return True, None, None
 
 
 # -- child-group oracles ------------------------------------------------------

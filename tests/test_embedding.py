@@ -5,7 +5,7 @@ from subembed import parse_cycles
 from subembed.embedding import recheck_witness_partial_s_pi
 from subembed.subgroups import Subgroup, prime_divisors
 
-from conftest import brute_partial_s_pi
+from conftest import brute_partial_s_pi, product_cap, product_gen_cap
 
 
 def idx(group, text):
@@ -239,3 +239,103 @@ def test_1875_cyclic_factor_neither_covers_nor_avoids(group1875):
 
     assert l1.mask & ~product_mask(a_span, trivial) != 0
     assert not se.cap(g, a_span).holds
+
+
+def test_predicates_reject_a_subgroup_of_another_group(by_name):
+    a4, s4 = by_name["A4"], by_name["S4"]
+    for h in (Subgroup.trivial(s4), se.sylow(s4, 2)):
+        for call in (
+            lambda: se.partial_s_pi(a4, h, 2),
+            lambda: se.partial_pi(a4, h),
+            lambda: se.cap(a4, h),
+            lambda: se.gen_cap(a4, h),
+            lambda: se.s_quasinormal(a4, h),
+            lambda: se.s_qn_embedded(a4, h),
+        ):
+            with pytest.raises(ValueError, match="different parent group"):
+                call()
+
+
+def test_recheck_rejects_an_empty_chain(by_name):
+    s4 = by_name["S4"]
+    assert not recheck_witness_partial_s_pi(s4, se.sylow(s4, 2), 2, ())
+
+
+@pytest.fixture(scope="module")
+def section_cases(corpus400, query_mix_groups):
+    """(name, group, subgroups): the standard pool of each group of order at
+    most 120 and of each query-mix group, with the spans of pairs among a
+    dozen elements spread through the group."""
+    import itertools
+
+    cases = []
+    for name, group in [*((n, g) for n, g in corpus400 if g.order <= 120), *query_mix_groups]:
+        subs = {h.mask: h for _, h in se.standard_pool(group)}
+        spread = range(0, group.order, max(1, group.order // 12))
+        for i, j in itertools.combinations(spread, 2):
+            h = se.span(group, [i, j])
+            subs.setdefault(h.mask, h)
+        cases.append((name, group, list(subs.values())))
+    return cases
+
+
+def test_section_order_matches_the_product(section_cases):
+    from subembed.embedding import _section_order
+    from subembed.subgroups import product_with_normal
+
+    for name, group, subs in section_cases:
+        lat = se.normal_lattice(group)
+        for h in subs:
+            for k, l in lat.covers:
+                x = product_with_normal(se.intersect(h, lat.nodes[l]), lat.nodes[k])
+                assert _section_order(h, lat, k, l) == x.order, (name, h.order, k, l)
+
+
+def _as_triple(verdict):
+    ref = verdict.refutation
+    if ref is None:
+        return verdict.holds, None, None
+    return verdict.holds, (ref.lower, ref.upper), ref.reason
+
+
+def test_cap_and_gen_cap_match_product_oracles(section_cases):
+    for name, group, subs in section_cases:
+        for h in subs:
+            assert _as_triple(se.cap(group, h)) == product_cap(group, h), (name, h.order)
+            assert _as_triple(se.gen_cap(group, h)) == product_gen_cap(group, h), (
+                name,
+                h.order,
+            )
+
+
+def test_supersoluble_predicates_build_no_products(corpus400, monkeypatch):
+    # every chief factor of a supersoluble group has prime order, so each
+    # section (H∩L)K is K or L and is decided by its order alone
+    import subembed.embedding as embedding
+    import subembed.subgroups as subgroups
+
+    calls = []
+    real = subgroups.product_mask
+
+    def counting(a, b):
+        calls.append((a.order, b.order))
+        return real(a, b)
+
+    checked = 0
+    for name, cached in corpus400:
+        if cached.order > 120 or not se.is_supersoluble(cached):
+            continue
+        group = se.generate_group(cached.generators, cached.degree, name=name)
+        se.normal_lattice(group)
+        pool = se.standard_pool(group)
+        with monkeypatch.context() as patch:
+            patch.setattr(subgroups, "product_mask", counting)
+            patch.setattr(embedding, "product_mask", counting)
+            for p, h in pool:
+                se.partial_s_pi(group, h, p)
+                se.partial_pi(group, h)
+                se.cap(group, h)
+                se.gen_cap(group, h)
+        assert calls == [], name
+        checked += 1
+    assert checked >= 50
