@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
 from .errors import ResourceCapError
 from .groups import FiniteGroup, generate_group, orbit_labels
 from .perms import Permutation
-from .subgroups import Subgroup, indices_from_mask, normal_closure_in, product_mask
+from .subgroups import Subgroup, closure_under_conj, indices_from_mask, product_mask
 
 DEFAULT_NODE_CAP = 4096
 
 
 def normal_closure(group: FiniteGroup, seed) -> Subgroup:
     """Smallest normal subgroup of ``group`` containing the seed indices."""
-    return normal_closure_in(group, group.gen_indices, seed)
+    return closure_under_conj(group, group.conj_maps(group.gen_indices), seed)
 
 
 @dataclass(frozen=True)
@@ -72,55 +74,54 @@ def normal_lattice(group: FiniteGroup, node_cap: int = DEFAULT_NODE_CAP) -> Norm
 def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     # every normal subgroup is a join of normal closures of conjugacy classes,
     # so joining each closure into every node found before it reaches them all
-    closures = sorted(
-        {normal_closure(group, [int(cls[0])]).mask for cls in group.conjugacy_classes()}
-    )
-    masks = [1]
-    by_order: dict[int, list[int]] = {1: [1]}
+    conj = group.conj_maps(group.gen_indices)
+    classes = group.conjugacy_classes()
+    closures = sorted({closure_under_conj(group, conj, [int(cls[0])]).mask for cls in classes})
+    # ids follow discovery: sup[i] is the bitset of ids of the nodes containing
+    # node i, i included, at_order[o] that of the nodes of order o
+    masks, sup, at_order, placed = [1], [1], {1: 1}, []  # placed: ids of joined closures
+
+    def add(x: int, over: int) -> None:
+        # ``over`` holds the nodes containing x. Each node is the join of the
+        # placed closures inside it, so it lies in x unless one of them does not
+        t = len(masks)
+        outside = reduce(or_, (sup[i] for i in placed if masks[i] & x != masks[i]), 0)
+        for j in indices_from_mask(((1 << t) - 1) & ~outside):
+            sup[j] |= 1 << t
+        masks.append(x)
+        sup.append(over | (1 << t))
+        at_order[x.bit_count()] = at_order.get(x.bit_count(), 0) | (1 << t)
+        if len(masks) > node_cap:
+            raise ResourceCapError("normal lattice node cap exceeded", len(masks))
+
     for c in closures:
-        closure = Subgroup(group, c)
-        for m in list(masks):
-            if m & c == c:
-                continue
-            # a normal subgroup of the join's order that contains both is the
-            # join, so product_mask runs only for joins not yet found
-            order = m.bit_count() * closure.order // (m & c).bit_count()
-            both = m | c
-            if any(other & both == both for other in by_order.get(order, ())):
-                continue
-            joined = product_mask(Subgroup(group, m), closure)
-            masks.append(joined)
-            by_order.setdefault(order, []).append(joined)
-            if len(masks) > node_cap:
-                raise ResourceCapError("normal lattice node cap exceeded", len(masks))
+        # a node of the join's order containing both is the join, so product_mask
+        # runs only for new joins; a closure that is a node adds no new join
+        over = sum(1 << j for j, m in enumerate(masks) if m & c == c)
+        if over & at_order.get(c.bit_count(), 0):
+            continue
+        found = len(masks)
+        add(c, over)
+        placed.append(found)
+        for m in range(1, found):
+            both = sup[m] & sup[found]
+            order = masks[m].bit_count() * c.bit_count() // (masks[m] & c).bit_count()
+            if not both & at_order.get(order, 0):
+                add(product_mask(Subgroup(group, masks[m]), Subgroup(group, c)), both)
 
-    nodes = sorted(
-        (Subgroup(group, m) for m in masks),
-        key=lambda s: (s.order, s.indices),
-    )
-    node_by_mask = {s.mask: i for i, s in enumerate(nodes)}
-
-    # above[i] is the bitset of node ids strictly above node i; equal-order
-    # nodes differ, so only later ids can be above. The covers of i are the
-    # ids above i that lie above no other id above i.
-    masks = [s.mask for s in nodes]
-    above = []
-    for i, low in enumerate(masks):
-        bits = 0
-        for j in range(i + 1, len(masks)):
-            if masks[j] & low == low:
-                bits |= 1 << j
-        above.append(bits)
+    subs = [Subgroup(group, m) for m in masks]
+    rank = sorted(range(len(subs)), key=lambda i: (subs[i].order, subs[i].indices))
+    new_id = {i: k for k, i in enumerate(rank)}
+    # above[k] is sup of node k renumbered to sorted ids, k itself left out.
+    # The covers of k are the ids above k that lie above no other id above k.
+    above = [sum(1 << new_id[j] for j in indices_from_mask(sup[i] ^ (1 << i))) for i in rank]
     up: dict[int, tuple[int, ...]] = {}
-    covers = []
-    for k in range(len(nodes)):
-        beyond = 0
-        for mid in indices_from_mask(above[k]):
-            beyond |= above[mid]
-        up[k] = indices_from_mask(above[k] & ~beyond)
-        for l in up[k]:
-            covers.append((k, l))
-    return NormalLattice(group, tuple(nodes), tuple(covers), up, node_by_mask)
+    for k, bits in enumerate(above):
+        beyond = reduce(or_, (above[mid] for mid in indices_from_mask(bits)), 0)
+        up[k] = indices_from_mask(bits & ~beyond)
+    covers = tuple((k, l) for k in up for l in up[k])
+    nodes = tuple(subs[i] for i in rank)
+    return NormalLattice(group, nodes, covers, up, {s.mask: k for k, s in enumerate(nodes)})
 
 
 def minimal_normals(group: FiniteGroup) -> list[Subgroup]:

@@ -208,8 +208,13 @@ def normal_closure_in(group: FiniteGroup, ambient_gens, seed) -> Subgroup:
     ambient): x^g permutes the finite S, so x^(g^-1) is in S too, and then
     x*s^g = (x^(g^-1)*s)^g is, so S is closed under every conjugate of the
     seed; the normal closure holds 1 and is closed under both maps."""
+    return closure_under_conj(group, group.conj_maps(ambient_gens), seed)
+
+
+def closure_under_conj(group: FiniteGroup, conj: np.ndarray, seed) -> Subgroup:
+    """``normal_closure_in`` over conjugation maps the caller built once."""
     member = np.arange(group.order) == 0
-    maps = np.concatenate([group.right_maps(seed), group.conj_maps(ambient_gens)])
+    maps = np.concatenate([group.right_maps(seed), conj])
     return Subgroup(group, mask_from_bool(close_members(member, maps)))
 
 
@@ -226,20 +231,14 @@ def derived_of_subgroup(h: Subgroup) -> Subgroup:
 
 def lower_central_series(group: FiniteGroup) -> list[Subgroup]:
     """gamma_1 >= gamma_2 >= ... until stable (last term repeated once dropped)."""
-    whole = Subgroup.whole(group)
-    series = [whole]
-    current = whole
+    series = [Subgroup.whole(group)]
+    conj = group.conj_maps(group.gen_indices)
     while True:
-        comms = {
-            group.commutator(x, g)
-            for x in current.gens
-            for g in group.gen_indices
-        }
-        nxt = normal_closure_in(group, group.gen_indices, comms)
-        if nxt.mask == current.mask:
+        comms = {group.commutator(x, g) for x in series[-1].gens for g in group.gen_indices}
+        nxt = closure_under_conj(group, conj, comms)
+        if nxt == series[-1]:
             return series
         series.append(nxt)
-        current = nxt
 
 
 def exponent(h: Subgroup) -> int:

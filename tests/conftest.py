@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 import subembed as se
@@ -66,27 +64,46 @@ def raw_closure(perms: set[tuple]) -> set[tuple]:
         out |= new
 
 
-def all_subgroups_small(group) -> set[int]:
-    """Masks of every subgroup, by closing all <=3-element subsets.
+def all_subgroups(group) -> set[int]:
+    """Masks of every subgroup, grown from the trivial one an element at a time.
 
-    Valid for the small groups used in tests: each of their subgroups is
-    generated by at most three elements.
+    Every subgroup <h1, ..., hk> is reached along <h1> < <h1, h2> < ..., so
+    no bound on the number of generators is assumed.
     """
-    masks = {1}
-    idx = range(group.order)
-    for r in (1, 2, 3):
-        for combo in itertools.combinations(idx, r):
-            masks.add(se.span(group, combo).mask)
-    return masks
+    found = {1}
+    frontier = [1]
+    while frontier:
+        grown = []
+        for mask in frontier:
+            members = se.Subgroup(group, mask).indices
+            for g in range(group.order):
+                if not mask >> g & 1:
+                    new = se.span(group, [*members, g]).mask
+                    if new not in found:
+                        found.add(new)
+                        grown.append(new)
+        frontier = grown
+    return found
 
 
 def brute_normal_masks(group) -> set[int]:
-    out = set()
-    for mask in all_subgroups_small(group):
-        sub = se.Subgroup(group, mask)
-        if sub.is_normal():
-            out.add(mask)
-    return out
+    return {mask for mask in all_subgroups(group) if se.Subgroup(group, mask).is_normal()}
+
+
+def brute_covers(nodes) -> list[tuple[int, int]]:
+    """Oracle: the pairs (i, j) with nodes[i] < nodes[j] and no node strictly
+    between, by testing every middle node."""
+
+    def strictly_below(a, b):
+        return a.order < b.order and a.is_subset_of(b)
+
+    return [
+        (i, j)
+        for i, low in enumerate(nodes)
+        for j, high in enumerate(nodes)
+        if strictly_below(low, high)
+        and not any(strictly_below(low, mid) and strictly_below(mid, high) for mid in nodes)
+    ]
 
 
 def brute_u_hypercentre(group):

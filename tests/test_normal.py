@@ -4,7 +4,7 @@ import subembed as se
 from subembed import ResourceCapError, parse_cycles
 from subembed.subgroups import Subgroup, normal_closure_in
 
-from conftest import brute_normal_masks, raw_compose, raw_inverse
+from conftest import brute_covers, brute_normal_masks, raw_compose, raw_inverse
 
 
 def idx(group, text):
@@ -52,9 +52,19 @@ def test_lattice_klein_whole(by_name):
     assert all(s.factor_orders == (2, 2) for s in series)
 
 
+def _lattice_rich_groups():
+    # many nodes share an order (35 of order 8 in D8xC2^2, 35 each of orders 4
+    # and 12 in C2^4xC3), so the build must tell equal-order nodes apart
+    E = se.ElemAbelian
+    return [
+        ("D8xC2^2", se.build(se.Direct(se.Dihedral(8), E(2, 2)))),
+        ("C2^4xC3", se.build(se.Direct(E(2, 4), se.Cyclic(3)))),
+    ]
+
+
 def test_lattice_against_brute_force(by_name):
-    for name in ("S3xC2", "A4", "D8", "C7:C3", "SL(2,3)"):
-        group = by_name[name]
+    names = ("S3xC2", "A4", "D8", "C7:C3", "SL(2,3)")
+    for name, group in [(n, by_name[n]) for n in names] + _lattice_rich_groups():
         expected = brute_normal_masks(group)
         got = {n.mask for n in se.normal_lattice(group).nodes}
         assert got == expected, name
@@ -80,28 +90,38 @@ def test_covers_have_empty_interval(by_name):
 
 
 def test_covers_match_brute_force_pass(by_name):
-    def strictly_below(a, b):
-        return a.order < b.order and a.is_subset_of(b)
-
     c2_4 = se.build(se.ElemAbelian(2, 4))
-    for name, group in se.builtin_corpus(60) + [("C2^4", c2_4)]:
+    for name, group in se.builtin_corpus(60) + [("C2^4", c2_4)] + _lattice_rich_groups():
         lat = se.normal_lattice(group)
-        nodes = lat.nodes
-        expected = []
-        for i, low in enumerate(nodes):
-            for j, high in enumerate(nodes):
-                if not strictly_below(low, high):
-                    continue
-                if not any(
-                    strictly_below(low, mid) and strictly_below(mid, high) for mid in nodes
-                ):
-                    expected.append((i, j))
+        keys = [(n.order, n.indices) for n in lat.nodes]
+        assert keys == sorted(keys), name
+        expected = brute_covers(lat.nodes)
         assert list(lat.covers) == expected, name
-        for k in range(len(nodes)):
+        for k in range(len(lat.nodes)):
             assert lat.up[k] == tuple(l for kk, l in expected if kk == k), (name, k)
-    # subspace counts: Gaussian-binomial sums over the dimensions
-    assert len(se.normal_lattice(c2_4).nodes) == 1 + 15 + 35 + 15 + 1
-    assert len(se.normal_lattice(by_name["C3^3"]).nodes) == 1 + 13 + 13 + 1
+
+
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "p, n, nodes, covers",
+    [(2, 4, 67, 240), (3, 3, 28, 78), (2, 5, 374, 2077), (3, 4, 212, 1120), (2, 6, 2825, 23562)],
+)
+def test_elementary_abelian_lattice_counts(by_name, p, n, nodes, covers):
+    # the normal subgroups are the subspaces of F_p^n: [n, k]_p of dimension
+    # k, each lying in (p^(n-k) - 1)/(p - 1) subspaces of dimension k + 1
+    spaces = [_gaussian_binomial(n, k, p) for k in range(n + 1)]
+    assert sum(spaces) == nodes
+    assert sum(s * (p ** (n - k) - 1) // (p - 1) for k, s in enumerate(spaces)) == covers
+    group = by_name["C3^3"] if (p, n) == (3, 3) else se.build(se.ElemAbelian(p, n))
+    lat = se.normal_lattice(group)
+    assert (len(lat.nodes), len(lat.covers)) == (nodes, covers)
 
 
 def test_minimal_normals_a4(by_name):
@@ -256,6 +276,11 @@ def test_lattice_node_cap():
         se.normal_lattice(group, node_cap=4)
     assert cached.value.reached == 16
     assert len(se.normal_lattice(group, node_cap=16).nodes) == 16
+    # C2^4 has 67 nodes but only 15 closures of classes besides the trivial
+    # one, so cap 40 trips only once joins of closures are being added
+    with pytest.raises(ResourceCapError) as joins:
+        se.normal_lattice(se.build(se.ElemAbelian(2, 4)), node_cap=40)
+    assert joins.value.reached == 41
 
 
 def test_jordan_holder_small():
