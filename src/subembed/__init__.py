@@ -79,7 +79,6 @@ from .normal import (
     normal_closure,
     normal_lattice,
     quotient,
-    socle,
     subgroup_as_group,
 )
 from .perms import Permutation, format_cycles, parse_cycles

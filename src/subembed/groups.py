@@ -5,9 +5,11 @@ indices only. Index 0 is always the identity and the indexing is the
 breadth-first discovery order from the generators, so it is reproducible.
 
 Products are read from a Cayley table of element indices, built on the
-first multiplication. Image rows are mapped back to indices through sorted
-hash keys of their images on a base (a point set whose images determine
-the element), confirmed by comparing whole rows.
+first multiplication. The closure already finds x*g for every element x and
+generator g, so it hands those generator columns to the group, and the
+table fills its other columns along the breadth-first tree. The one other
+map from image rows to indices is :meth:`FiniteGroup.lookup_rows`, a dict
+keyed on row bytes, built on its first call.
 
 Element closures and orbits run on *maps* (row t sends x to ``maps[t, x]``)
 from :meth:`FiniteGroup.right_maps` (x*g) and :meth:`FiniteGroup.conj_maps`
@@ -25,9 +27,6 @@ from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 10000
 
-# odd multiplier of the base-image hash (arithmetic wraps modulo 2**64)
-_KEY_MULT = np.uint64(0x9E3779B97F4A7C15)
-
 
 class FiniteGroup:
     """A finite permutation group with a full element table.
@@ -40,23 +39,23 @@ class FiniteGroup:
     unsigned dtype that fits an index: one byte each up to order 256, two up
     to 65536, so 2n² bytes (7 MB at order 1875, 200 MB at the default order
     cap). It is built on first use, not at construction, so groups that never
-    multiply cost nothing. Under ``jobs > 1`` two threads may both build it
-    on first use; each fills a private array from the same rows and then
-    stores it, so either result is the same table.
+    multiply cost nothing. The other lazy caches are the inverses, element
+    orders, conjugacy classes and the row index behind :meth:`lookup_rows`.
+    Under ``jobs > 1`` two threads may both fill a cache on first use; each
+    computes a private value from the same rows and then stores it, so
+    either result is the same.
     """
 
-    def __init__(self, degree, rows, gen_indices, generators, bfs_edges, name=None):
+    def __init__(self, degree, rows, gen_indices, generators, bfs_edges, gen_columns, name=None):
         self.degree = degree
         self.rows = rows  # (order, degree) int32, 0-based images
         self.order = len(rows)
         self.gen_indices = tuple(gen_indices)
         self.generators = tuple(generators)
         self.bfs_edges = bfs_edges  # bfs_edges[i] = (parent index, generator position)
+        self._gen_columns = gen_columns  # gen_columns[k][x] = index of x * generators[k]
         self.name = name
-        self._base = _choose_base(rows)
-        keys = _base_keys(rows[:, self._base])
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
+        self._row_index = None
         self._table = None
         self._inv = None
         self._orders = None
@@ -104,16 +103,14 @@ class FiniteGroup:
 
         Raises :class:`KeyError` when a row is not an element of the group.
         """
+        if self._row_index is None:
+            self._row_index = {row.tobytes(): i for i, row in enumerate(self.rows)}
         rows2d = np.asarray(rows2d)
-        keys = _base_keys(rows2d[:, self._base])
-        pos = np.searchsorted(self._sorted_keys, keys)
-        np.minimum(pos, self.order - 1, out=pos)
-        idx = self._key_order[pos]
-        found = self._sorted_keys[pos] == keys
-        found &= (self.rows[idx] == rows2d).all(axis=1)
-        if not found.all():
+        keys = rows2d.astype(self.rows.dtype)  # the dict keys on int32 bytes
+        found = [self._row_index.get(row.tobytes(), -1) for row in keys]
+        if -1 in found or not np.array_equal(keys, rows2d):
             raise KeyError("row is not an element of this group")
-        return idx
+        return np.array(found, dtype=np.intp)
 
     # -- multiplication (compose left to right: (a*b)(x) = b(a(x))) ------
 
@@ -129,8 +126,8 @@ class FiniteGroup:
         n = self.order
         table = np.empty((n, n), dtype=np.min_scalar_type(n - 1), order="F")
         table[:, 0] = np.arange(n)
-        for g in self.gen_indices:
-            table[:, g] = self.lookup_rows(self.rows[g][self.rows])
+        for g, column in zip(self.gen_indices, self._gen_columns):
+            table[:, g] = column
         # x*j = (x*parent)*gen along the BFS tree; parents come first
         for j in range(1, n):
             parent, gpos = self.bfs_edges[j]
@@ -235,35 +232,6 @@ class FiniteGroup:
         return self._classes
 
 
-def _base_keys(base_images: np.ndarray) -> np.ndarray:
-    """A uint64 hash of each row of base images."""
-    keys = np.zeros(len(base_images), dtype=np.uint64)
-    for column in base_images.T:
-        keys *= _KEY_MULT
-        keys += column.astype(np.uint64)
-    return keys
-
-
-def _choose_base(rows: np.ndarray) -> list[int]:
-    """Points, taken greedily in order, whose image keys tell all rows apart."""
-    n = len(rows)
-    base: list[int] = []
-    keys = np.zeros(n, dtype=np.uint64)
-    distinct = 1
-    for point in range(rows.shape[1]):
-        if distinct == n:
-            break
-        cand = keys * _KEY_MULT + rows[:, point].astype(np.uint64)
-        ordered = np.sort(cand)
-        count = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-        if count > distinct:
-            base.append(point)
-            keys, distinct = cand, count
-    if distinct < n:
-        raise RuntimeError("base-image keys collide; rows are not distinct")
-    return base
-
-
 def generate_group(
     gens,
     degree: int,
@@ -288,6 +256,8 @@ def generate_group(
     rows = [identity]
     index = {identity.tobytes(): 0}
     edges = [(-1, -1)]
+    # the frontiers list the indices in order, so columns[k][x] = x * gens[k]
+    columns = [[] for _ in gen_rows]
     frontier = [0]
     while frontier:
         frontier_rows = np.stack([rows[i] for i in frontier])
@@ -296,17 +266,20 @@ def generate_group(
             products = grow[frontier_rows]  # products[t] = frontier[t] * gen
             for t, row in enumerate(products):
                 key = row.tobytes()
-                if key not in index:
+                got = index.get(key)
+                if got is None:
                     if len(rows) >= cap:
                         raise ResourceCapError("group order exceeds cap", len(rows))
-                    index[key] = len(rows)
+                    got = index[key] = len(rows)
                     edges.append((frontier[t], gpos))
-                    next_frontier.append(len(rows))
+                    next_frontier.append(got)
                     rows.append(row)
+                columns[gpos].append(got)
         frontier = next_frontier
 
-    gen_indices = [index[r.tobytes()] for r in gen_rows]
-    return FiniteGroup(degree, np.stack(rows), gen_indices, gens, edges, name=name)
+    gen_indices = [column[0] for column in columns]  # 1 * g = g
+    columns = np.array(columns, dtype=np.min_scalar_type(len(rows) - 1))
+    return FiniteGroup(degree, np.stack(rows), gen_indices, gens, edges, columns, name=name)
 
 
 def closure_indices(group: FiniteGroup, gen_idxs) -> np.ndarray:

@@ -132,16 +132,6 @@ def minimal_normals(group: FiniteGroup) -> list[Subgroup]:
     return [lat.nodes[j] for j in lat.up[0]]
 
 
-def socle(group: FiniteGroup) -> Subgroup:
-    if group.order == 1:
-        return Subgroup.trivial(group)
-    lat = normal_lattice(group)
-    sid = 0
-    for j in lat.up[0]:
-        sid = lat.join_id(sid, j)
-    return lat.nodes[sid]
-
-
 @dataclass(frozen=True)
 class ChiefSeries:
     """A maximal chain in the normal lattice from the trivial node to the top."""
@@ -279,14 +269,3 @@ def subgroup_as_group(sub: Subgroup):
         return child, to_parent, from_parent
 
     return parent.memo("as_group", sub.mask, materialize)
-
-
-def pull_to_parent(sub_of_child: Subgroup, to_parent: np.ndarray, parent: FiniteGroup) -> Subgroup:
-    """Map a subgroup of a materialized child group back into the parent."""
-    return Subgroup.from_indices(parent, to_parent[sub_of_child.index_array])
-
-
-def push_to_child(sub_of_parent: Subgroup, from_parent: dict, child: FiniteGroup) -> Subgroup:
-    return Subgroup.from_indices(
-        child, [from_parent[i] for i in sub_of_parent.indices]
-    )

@@ -244,6 +244,27 @@ def quotient_u_hypercentre_over(kernel):
     return qmap.preimage_subgroup(quotient_u_hypercentre(qmap.image))
 
 
+def socle(group):
+    """The join of the minimal normal subgroups of ``group``."""
+    if group.order == 1:
+        return se.Subgroup.trivial(group)
+    lat = se.normal_lattice(group)
+    sid = 0
+    for j in lat.up[0]:
+        sid = lat.join_id(sid, j)
+    return lat.nodes[sid]
+
+
+def pull_to_parent(sub_of_child, to_parent, parent):
+    """Map a subgroup of a materialized child group back into the parent."""
+    return se.Subgroup.from_indices(parent, to_parent[sub_of_child.index_array])
+
+
+def push_to_child(sub_of_parent, from_parent, child):
+    """Map a subgroup of the parent into a materialized child group."""
+    return se.Subgroup.from_indices(child, [from_parent[i] for i in sub_of_parent.indices])
+
+
 def _as_child(e):
     child, to_parent, _ = se.subgroup_as_group(e)
     return child, lambda sub: se.Subgroup.from_indices(e.group, to_parent[sub.index_array])
@@ -290,7 +311,7 @@ def child_group_f_star(group):
     child, to_parent, from_parent = se.subgroup_as_group(fc)
     kernel = se.Subgroup.from_indices(child, [from_parent[i] for i in fit.indices])
     qmap = se.quotient(child, kernel)
-    soc = qmap.preimage_subgroup(se.socle(qmap.image))
+    soc = qmap.preimage_subgroup(socle(qmap.image))
     return se.Subgroup.from_indices(group, to_parent[soc.index_array])
 
 

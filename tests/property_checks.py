@@ -11,7 +11,7 @@ import math
 import subembed as se
 from subembed.classify import f_star, is_p_nilpotent, is_p_supersoluble
 from subembed.harness import maximal_subgroup_pool, standard_pool
-from subembed.normal import push_to_child, pull_to_parent, subgroup_as_group
+from subembed.normal import subgroup_as_group
 from subembed.subgroups import (
     Subgroup,
     exponent,
@@ -20,6 +20,8 @@ from subembed.subgroups import (
     prime_divisors,
     product_with_normal,
 )
+
+from conftest import pull_to_parent, push_to_child
 
 
 def restriction_violations(group):

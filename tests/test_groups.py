@@ -182,6 +182,11 @@ def _assert_table_rows(group, row_indices):
 
 def test_table_matches_row_composition():
     groups = [g for _, g in se.builtin_corpus(48)] + [se.build(se.Sym(6))]
+    # generator columns that land on the same table column, or on column 0
+    identity, cycle, swap = (parse_cycles(t, 4) for t in ("()", "(1 2 3 4)", "(1 2)"))
+    groups.append(generate_group([cycle, identity, swap], 4))
+    groups.append(generate_group([swap, cycle, swap, cycle], 4))
+    groups.append(generate_group([se.Permutation((1,))], 1))
     for group in groups:
         _assert_table_rows(group, range(group.order))
 
@@ -232,6 +237,12 @@ def test_element_orders_match_cycle_lengths():
 def test_lookup_rows_rejects_rows_outside_the_group():
     a5 = se.build(se.Alt(5))
     assert a5.lookup_rows(a5.rows).tolist() == list(range(a5.order))
+    # the index keys on row bytes, so the dtype of the rows must not matter
+    assert a5.lookup_rows(a5.rows.astype(np.int64)).tolist() == list(range(a5.order))
+    wrapped = a5.rows[:1].astype(np.int64)
+    wrapped[0, 0] += 2**32  # the same int32 bytes, but not an image row
+    with pytest.raises(KeyError):
+        a5.lookup_rows(wrapped)
     for i in range(a5.order):
         odd = a5.rows[i].copy()
         odd[[3, 4]] = odd[[4, 3]]

