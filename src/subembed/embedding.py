@@ -238,14 +238,17 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff, for each prime q dividing |H|, some S-quasinormal subgroup of
     G has a Sylow q-subgroup equal to one of H.
 
-    The witness search is anchored to the normal lattice: candidates are the
-    lattice nodes and the spans of H's Sylow q-subgroup with each node. A
-    True answer is sound (the witness is checked); a False answer means no
-    candidate in that family worked, which is a best-effort bound since full
-    S-quasinormal subgroup enumeration is infeasible for large groups.
+    The witness search is anchored to the normal lattice: for a Sylow
+    q-subgroup H_q of H, the candidates are the lattice nodes N and the
+    products H_q·N whose order keeps H_q Sylow. N is normal, so H_q·N is a
+    subgroup of order |H_q|·|N : H_q∩N|, and H_q is Sylow in it iff q does
+    not divide |N : H_q∩N|; only those products are built, by one
+    Cayley-table gather each. A True answer is sound (the witness is
+    checked); a False answer means no candidate in that family worked,
+    which is a best-effort bound since full S-quasinormal subgroup
+    enumeration is infeasible for large groups.
     """
     from .classify import sylow_of_subgroup
-    from .subgroups import span
 
     _require_own_subgroup(group, h)
 
@@ -255,7 +258,9 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
             hq = sylow_of_subgroup(h, q)
             candidates = {node.mask for node in lat.nodes}
             for node in lat.nodes:
-                candidates.add(span(group, set(hq.gens) | set(node.gens)).mask)
+                index = node.order // (hq.mask & node.mask).bit_count()  # |N : H_q∩N|
+                if index % q:
+                    candidates.add(product_mask(hq, node))
             for mask in sorted(candidates):
                 w = Subgroup(group, mask)
                 if not hq.is_subset_of(w):

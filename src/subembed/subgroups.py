@@ -26,10 +26,16 @@ def mask_from_bool(member: np.ndarray) -> int:
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
-    """The set bit positions of ``mask``, ascending, as Python ints."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return tuple(bits.nonzero()[0].tolist())
+    """The set bit positions of ``mask``, ascending, as Python ints: the
+    lowest set bit is taken off one at a time."""
+    if mask < 0:
+        raise ValueError("a mask is non-negative")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Subgroup:
@@ -107,8 +113,11 @@ class Subgroup:
         return self.group.memo("small_gens", self.mask, pick)
 
     def is_normal(self) -> bool:
-        conj = [self.group.conj_set(list(self.gens), g) for g in self.group.gen_indices]
-        return all(self.contains_index(t) for images in conj for t in images)
+        """H^g = H for every generator g of G, tested on all of H."""
+        member, group = self.member_bool, self.group
+        return all(
+            member[group.conj_set(self.index_array, g)].all() for g in group.gen_indices
+        )
 
     def conjugate(self, g: int) -> "Subgroup":
         return Subgroup.from_indices(

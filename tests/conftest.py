@@ -148,6 +148,78 @@ def brute_partial_s_pi(group, h, p, series_limit=500) -> bool:
     return False
 
 
+def span_s_qn_embedded(group, h, joins: dict) -> bool:
+    """Oracle: the lattice-anchored witness search with every join <H_q, N>
+    closed by ``span`` from generators. Candidates are the lattice nodes and
+    those joins, kept when they contain H_q with H_q Sylow in them, and
+    tried in mask order. ``joins`` keeps each closed join by (H_q, N) masks,
+    for reuse by the caller's next call on the same group."""
+    from subembed.subgroups import p_part, prime_divisors
+
+    def join(hq, node):
+        key = (hq.mask, node.mask)
+        if key not in joins:
+            joins[key] = se.span(group, set(hq.gens) | set(node.gens)).mask
+        return joins[key]
+
+    lat = se.normal_lattice(group)
+    for q in prime_divisors(h.order):
+        hq = se.sylow_of_subgroup(h, q)
+        candidates = {node.mask for node in lat.nodes}
+        candidates.update(join(hq, node) for node in lat.nodes)
+        for mask in sorted(candidates):
+            w = se.Subgroup(group, mask)
+            if hq.is_subset_of(w) and p_part(w.order, q) == hq.order:
+                if se.s_quasinormal(group, w):
+                    break
+        else:
+            return False
+    return True
+
+
+def brute_s_quasinormal_masks(group, subgroup_masks) -> set[int]:
+    """Oracle: the subgroups W with WS = SW for every Sylow subgroup S of G.
+    The Sylow subgroups are all subgroups of full prime-power order, and
+    each product set is gathered from the Cayley table."""
+    import numpy as np
+
+    from subembed.subgroups import p_part, prime_divisors
+
+    def product_set(a, b):
+        return set(group.table[np.ix_(a, b)].ravel().tolist())
+
+    members = {m: se.Subgroup(group, m).indices for m in subgroup_masks}
+    full = {p_part(group.order, p) for p in prime_divisors(group.order)}
+    sylows = [m for m in subgroup_masks if m.bit_count() in full]
+    return {
+        w
+        for w in subgroup_masks
+        if all(
+            product_set(members[w], members[s]) == product_set(members[s], members[w])
+            for s in sylows
+        )
+    }
+
+
+def brute_s_qn_embedded(h, subgroup_masks, quasinormal) -> bool:
+    """Oracle: for each prime q of |H|, some S-quasinormal W has a Sylow
+    q-subgroup of H as a Sylow q-subgroup. H_q is the first subgroup of H of
+    order |H|_q; the Sylow q-subgroups of H are conjugate in H and
+    conjugation keeps W S-quasinormal, so the choice does not matter."""
+    from subembed.subgroups import p_part, prime_divisors
+
+    for q in prime_divisors(h.order):
+        target = p_part(h.order, q)
+        hq = min(
+            m for m in subgroup_masks if m & h.mask == m and m.bit_count() == target
+        )
+        if not any(
+            w & hq == hq and p_part(w.bit_count(), q) == target for w in quasinormal
+        ):
+            return False
+    return True
+
+
 # -- full-product oracles ------------------------------------------------------
 # The library reads each section (H∩L)K off its order. These oracles build
 # every section as a product, as the definitions read, and return the verdict

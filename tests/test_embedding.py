@@ -5,7 +5,15 @@ from subembed import parse_cycles
 from subembed.embedding import recheck_witness_partial_s_pi
 from subembed.subgroups import Subgroup, prime_divisors
 
-from conftest import brute_partial_s_pi, product_cap, product_gen_cap
+from conftest import (
+    all_subgroups,
+    brute_partial_s_pi,
+    brute_s_qn_embedded,
+    brute_s_quasinormal_masks,
+    product_cap,
+    product_gen_cap,
+    span_s_qn_embedded,
+)
 
 
 def idx(group, text):
@@ -339,3 +347,103 @@ def test_supersoluble_predicates_build_no_products(corpus400, monkeypatch):
         assert calls == [], name
         checked += 1
     assert checked >= 50
+
+
+def test_s_qn_embedded_matches_the_span_search(corpus400, query_mix_groups):
+    # the standard pool, the lattice nodes and seeded 2-element spans of
+    # each group of order 25 to 60 and of each query-mix group; below order
+    # 25, test_s_qn_embedded_is_exact_on_small_groups checks every subgroup
+    import random
+
+    answers = []
+    small = [(n, g) for n, g in corpus400 if 24 < g.order <= 60]
+    for name, group in [*small, *query_mix_groups]:
+        subs = {h.mask: h for _, h in se.standard_pool(group)}
+        for node in se.normal_lattice(group).nodes:
+            subs.setdefault(node.mask, node)
+        rng = random.Random(name)
+        for _ in range(8):
+            h = se.span(group, [rng.randrange(group.order), rng.randrange(group.order)])
+            subs.setdefault(h.mask, h)
+        joins = {}
+        for h in subs.values():
+            ours = se.s_qn_embedded(group, h)
+            assert ours == span_s_qn_embedded(group, h, joins), (name, h.order)
+            answers.append(ours)
+    assert len(answers) == 427 and answers.count(False) == 126
+
+
+def test_s_qn_embedded_is_exact_on_small_groups():
+    # brute force over every subgroup: for each prime q of |H| some
+    # S-quasinormal W of G has H_q as a Sylow q-subgroup
+    answers = []
+    for name, group in se.builtin_corpus(24):
+        subs = all_subgroups(group)
+        quasinormal = brute_s_quasinormal_masks(group, subs)
+        for mask in sorted(subs - {1}):
+            h = Subgroup(group, mask)
+            expected = brute_s_qn_embedded(h, subs, quasinormal)
+            assert se.s_qn_embedded(group, h) == expected, (name, h.order)
+            answers.append(expected)
+    assert len(answers) == 396 and answers.count(False) == 25
+
+
+def _fresh_s6_and_sl23_s4():
+    return [se.build(se.Sym(6)), se.build(se.Direct(se.SL23(), se.Sym(4)))]
+
+
+def test_s_qn_embedded_runs_no_closure(monkeypatch):
+    # with each Sylow subgroup of H found, the search itself spans nothing
+    import subembed.subgroups as subgroups
+
+    for group in _fresh_s6_and_sl23_s4():
+        pool = [h for _, h in se.standard_pool(group)] + list(se.normal_lattice(group).nodes)
+        pool += [se.span(group, [i, i + 1]) for i in range(1, 40, 3)]
+        for h in pool:
+            for q in prime_divisors(h.order):
+                se.sylow_of_subgroup(h, q)
+        calls = []
+        real = subgroups.span
+
+        def counting(g, seed):
+            calls.append(len(seed))
+            return real(g, seed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(subgroups, "span", counting)
+            answers = [se.s_qn_embedded(group, h) for h in pool]
+        assert calls == [], group.name
+        assert False in answers and True in answers, group.name
+
+
+def test_s_qn_embedded_builds_only_products_that_keep_h_q_sylow(monkeypatch):
+    # with s_quasinormal answered on every candidate beforehand, the products
+    # the search builds for a p-subgroup H are H·N for the nodes N, in
+    # lattice order, with p coprime to |N : H∩N|
+    import subembed.embedding as embedding
+    from subembed.subgroups import product_mask
+
+    for group in _fresh_s6_and_sl23_s4():
+        nodes = se.normal_lattice(group).nodes
+        pool = dict.fromkeys(h for _, h in se.standard_pool(group) if h.order > 1)
+        for node in nodes:
+            se.s_quasinormal(group, node)
+        expected = []
+        for h in pool:
+            (p,) = prime_divisors(h.order)
+            for node in nodes:
+                se.s_quasinormal(group, Subgroup(group, product_mask(h, node)))
+                if node.order // se.intersect(h, node).order % p:
+                    expected.append((h.mask, node.mask))
+        calls = []
+
+        def recording(a, b):
+            calls.append((a.mask, b.mask))
+            return product_mask(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "product_mask", recording)
+            for h in pool:
+                se.s_qn_embedded(group, h)
+        assert calls == expected, group.name
+        assert len(expected) < len(pool) * len(nodes), group.name

@@ -421,3 +421,35 @@ def test_mask_helpers_round_trip(group1875):
     assert got == tuple(i for i in range(1875) if syl.mask >> i & 1)
     assert len(got) == 625 and all(type(i) is int for i in got)
     assert mask_from_indices(got) == syl.mask
+
+
+def _bin_positions(mask):
+    """Oracle: the set bit positions read off the binary string."""
+    return tuple(i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+
+
+def test_indices_from_mask_matches_binary_string():
+    rng = random.Random(12)
+    masks = [0, 1, (1 << 1875) - 1, (1 << 1875) - 2, 1 << 1874 | 1]
+    masks += [1 << k for k in (1, 7, 8, 63, 64, 65, 1000, 1874)]
+    masks += [rng.getrandbits(rng.choice((5, 64, 300, 1875))) for _ in range(200)]
+    masks += [sum(1 << rng.randrange(1875) for _ in range(5)) for _ in range(50)]
+    for mask in masks:
+        got = indices_from_mask(mask)
+        assert got == _bin_positions(mask)
+        assert all(type(i) is int for i in got)
+    with pytest.raises(ValueError):
+        indices_from_mask(-1)
+
+
+def test_is_normal_matches_every_conjugate(corpus400):
+    # definition: H^g = H for every g in G, with each conjugate formed
+    verdicts = []
+    for name, group in corpus400:
+        if group.order > 48:
+            continue
+        for sub in [h for _, h in se.standard_pool(group)] + list(se.normal_lattice(group).nodes):
+            normal = all(sub.conjugate(g) == sub for g in range(group.order))
+            assert sub.is_normal() == normal, (name, sub.order)
+            verdicts.append(normal)
+    assert verdicts.count(False) >= 80 and verdicts.count(True) >= 500  # 91 and 590
