@@ -56,6 +56,7 @@ from .embedding import (
 from .errors import (
     CycleParseError,
     GroupFileError,
+    InvariantError,
     ResourceCapError,
     SubembedError,
 )

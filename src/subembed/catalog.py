@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupFileError
+from .errors import GroupFileError, InvariantError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, generate_group
 from .perms import Permutation, parse_cycles
 
@@ -158,7 +158,8 @@ def _build_sl23(cap: int) -> FiniteGroup:
     s = matrix_perm(1, 1, 0, 1)
     t = matrix_perm(0, 2, 1, 0)
     group = generate_group([s, t], degree=8, cap=cap, name="SL(2,3)")
-    assert group.order == 24
+    if group.order != 24:
+        raise InvariantError(f"SL(2,3) came out of order {group.order}, not 24")
     return group
 
 
@@ -179,7 +180,8 @@ def _build_direct(expr: Direct, cap: int) -> FiniteGroup:
             )
         )
     group = generate_group(gens, degree=degree, cap=cap)
-    assert group.order == left.order * right.order
+    if group.order != left.order * right.order:
+        raise InvariantError("a direct product's order is not the product of the orders")
     group.name = f"{left.name}x{right.name}" if left.name and right.name else None
     return group
 
@@ -213,7 +215,8 @@ def _build_semidirect(expr: Semidirect, cap: int) -> FiniteGroup:
     for row in aut_rows:
         gens.append(Permutation(tuple(int(x) + 1 for x in row)))
     group = generate_group(gens, degree=normal.order, cap=cap)
-    assert group.order == normal.order * complement.order // kernel
+    if group.order != normal.order * complement.order // kernel:
+        raise InvariantError("a semidirect product's order is not |N|·|H|/|kernel|")
     return group
 
 

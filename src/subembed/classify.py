@@ -10,15 +10,18 @@ any subgroup are read inside G too (``f_star``, ``_grow_sylow``), so no
 routine here builds a group of its own.
 
 Solubility is computed along two independent routes (derived series and
-chief-factor orders) and the two are asserted equal, as a standing
-cross-check of the lattice code.
+chief-factor orders), and :class:`InvariantError` is raised if they differ,
+as a standing cross-check of the lattice code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .groups import FiniteGroup
+import numpy as np
+
+from .errors import InvariantError
+from .groups import FiniteGroup, extend_closure
 from .normal import a_chief_series, normal_lattice
 from .subgroups import (
     Subgroup,
@@ -28,11 +31,11 @@ from .subgroups import (
     is_pi_number,
     is_prime,
     lower_central_series,
+    mask_from_bool,
     normalizer,
     p_part,
     prime_divisors,
     product_with_normal,
-    span,
 )
 
 
@@ -59,25 +62,31 @@ def sylow_of_subgroup(sub: Subgroup, p: int) -> Subgroup:
 def _grow_sylow(sub: Subgroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of H = ``sub``, grown from H's first p-element: a
     p-subgroup P below a Sylow S of H is proper in N_S(P), so N_G(P) ∩ H
-    holds a p-element outside P, which spans a larger p-group with P."""
+    holds a p-element outside P, which spans a larger p-group with P. P is
+    extended by that element in place, keeping the generators it grew by."""
     group = sub.group
     target = p_part(sub.order, p)
     if target == 1:
         return Subgroup.trivial(group)
     orders = group.element_orders
     first = next(i for i in sub.indices if int(orders[i]) == p)
-    current = span(group, [first])
+    gens: list[int] = []
+    member = extend_closure(group, np.arange(group.order) == 0, gens, [first])
+    current = Subgroup(group, mask_from_bool(member))
     while current.order < target:
         norm = intersect(normalizer(group, current), sub)
         grown = None
         for i in norm.indices:
             o = int(orders[i])
             if o > 1 and p_part(o, p) == o and not current.contains_index(i):
-                grown = span(group, set(current.gens) | {i})
+                grown = i
                 break
-        assert grown is not None, "proper p-subgroup must grow in its normalizer"
-        current = grown
-    assert current.order == target
+        if grown is None:
+            raise InvariantError("a proper p-subgroup did not grow in its normalizer")
+        extend_closure(group, member, gens, [grown])
+        current = Subgroup(group, mask_from_bool(member))
+    if current.order != target:
+        raise InvariantError("a grown Sylow subgroup overshot the Sylow order")
     return current
 
 
@@ -123,8 +132,8 @@ def _largest_normal(group: FiniteGroup, key, passes) -> Subgroup:
     def scan() -> Subgroup:
         passing = [n for n in normal_lattice(group).nodes if passes(n)]
         best = max(passing, key=lambda n: n.order)
-        for node in passing:
-            assert node.is_subset_of(best)
+        if not all(node.is_subset_of(best) for node in passing):
+            raise InvariantError(f"no largest normal subgroup passes {key}")
         return best
 
     return group.memo("radical", key, scan)
@@ -199,7 +208,8 @@ def soluble_by_chief_factors(group: FiniteGroup) -> bool:
 def is_soluble(group: FiniteGroup) -> bool:
     via_derived = soluble_by_derived_series(group)
     via_factors = soluble_by_chief_factors(group)
-    assert via_derived == via_factors, "solubility cross-check failed"
+    if via_derived != via_factors:
+        raise InvariantError("solubility by derived series and by chief factors differ")
     return via_derived
 
 

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 parse/usage error, 3 resource cap exceeded,
-4 counterexample found by ``verify``.
+4 counterexample found by ``verify``, 5 library invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .embedding import (
     s_qn_embedded,
     s_quasinormal,
 )
-from .errors import CycleParseError, GroupFileError, ResourceCapError, SubembedError
+from .errors import CycleParseError, GroupFileError, InvariantError, ResourceCapError, SubembedError
 from .harness import resolve_theorem_ids, run_corpus
 from .normal import chief_series_enumerate, normal_lattice
 from .perms import parse_cycles
@@ -237,6 +237,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except (CycleParseError, GroupFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

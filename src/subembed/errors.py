@@ -27,3 +27,8 @@ class ResourceCapError(SubembedError, RuntimeError):
     def __init__(self, message: str, reached: int):
         super().__init__(f"{message} (reached {reached})")
         self.reached = reached
+
+
+class InvariantError(SubembedError, RuntimeError):
+    """A library invariant failed: the result computed is inconsistent with
+    itself, which means a bug in this package, not bad input."""

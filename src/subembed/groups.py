@@ -11,11 +11,13 @@ table fills its other columns along the breadth-first tree. The one other
 map from image rows to indices is :meth:`FiniteGroup.lookup_rows`, a dict
 keyed on row bytes, built on its first call.
 
-Element closures and orbits run on *maps* (row t sends x to ``maps[t, x]``)
-from :meth:`FiniteGroup.right_maps` (x*g) and :meth:`FiniteGroup.conj_maps`
-(x^g), which check indices. :func:`close_members` closes a set under maps (the
-normal closure is {1} under seed right maps plus ambient conjugation maps), and
-:func:`orbit_labels` labels each element with its orbit's least element.
+Every element closure goes through :func:`extend_closure`, which grows a
+closed subgroup H to <H, g> one right coset H·r at a time (Dimino's
+algorithm), each coset one gather from a table column; it is where the
+indices of a generating set are checked. :func:`closure_indices` extends
+{1}. Orbits run on *maps* (row t sends x to ``maps[t, x]``):
+:meth:`FiniteGroup.conj_maps` gives x -> x^g, and :func:`orbit_labels`
+labels each element with its orbit's least element.
 """
 
 from __future__ import annotations
@@ -172,10 +174,6 @@ class FiniteGroup:
         table = self.table
         return table[table[:, h][self.inv], np.arange(self.order)]
 
-    def right_maps(self, gs) -> np.ndarray:
-        """Row t is the map x -> x*gs[t], indexed by x."""
-        return self.table.T.take(self._checked(gs), axis=0)
-
     def conj_maps(self, gs) -> np.ndarray:
         """Row t is the map x -> x^gs[t] = gs[t]^-1 * x * gs[t], indexed by x."""
         gs = self._checked(gs)
@@ -285,19 +283,35 @@ def generate_group(
 def closure_indices(group: FiniteGroup, gen_idxs) -> np.ndarray:
     """Element indices of <gens> inside ``group``, sorted ascending."""
     member = np.arange(group.order) == 0
-    return close_members(member, group.right_maps(gen_idxs)).nonzero()[0]
+    return extend_closure(group, member, [], gen_idxs).nonzero()[0]
 
 
-def close_members(member: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Grow the boolean ``member`` in place until every row of ``maps`` sends
-    it into itself, and return it."""
-    frontier = member.nonzero()[0]
-    while len(frontier):
-        reached = np.zeros(len(member), dtype=bool)
-        reached[maps[:, frontier]] = True
-        reached &= ~member
-        member |= reached
-        frontier = reached.nonzero()[0]
+def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> np.ndarray:
+    """Grow the boolean ``member``, which must hold exactly <gens>, in place
+    to <gens, new> and return it. Each element of ``new`` that lies outside
+    the closure so far is appended to ``gens``.
+
+    Dimino's algorithm: <H, g> for the closed H = <gens> is a union of right
+    cosets H·r. It starts from H and H·g, and each representative r and
+    generator s with r·s outside adds the coset H·(r·s) and its
+    representative. The union then holds r·s for every r and s, so, as a
+    union of right cosets of H, it is closed under right multiplication by
+    every generator: it is the subgroup.
+    """
+    table = group.table
+    for g in group._checked(new).tolist():
+        if member.item(g):
+            continue
+        gens.append(g)
+        base = member.nonzero()[0]
+        member[table[:, g][base]] = True
+        reps = [g]
+        for r in reps:  # breadth first: the list grows while it is read
+            for s in gens:
+                x = table.item(r, s)
+                if not member.item(x):
+                    member[table[:, x][base]] = True
+                    reps.append(x)
     return member
 
 

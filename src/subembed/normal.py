@@ -8,10 +8,10 @@ from operator import or_
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import InvariantError, ResourceCapError
 from .groups import FiniteGroup, generate_group, orbit_labels
 from .perms import Permutation
-from .subgroups import Subgroup, closure_under_conj, indices_from_mask, product_mask
+from .subgroups import Subgroup, closure_under_conj, indices_from_mask, product_mask, span
 
 DEFAULT_NODE_CAP = 4096
 
@@ -73,10 +73,9 @@ def normal_lattice(group: FiniteGroup, node_cap: int = DEFAULT_NODE_CAP) -> Norm
 
 def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     # every normal subgroup is a join of normal closures of conjugacy classes,
-    # so joining each closure into every node found before it reaches them all
-    conj = group.conj_maps(group.gen_indices)
-    classes = group.conjugacy_classes()
-    closures = sorted({closure_under_conj(group, conj, [int(cls[0])]).mask for cls in classes})
+    # so joining each closure into every node found before it reaches them all;
+    # the normal closure of x is the span of the class of x
+    closures = sorted({span(group, cls).mask for cls in group.conjugacy_classes()})
     # ids follow discovery: sup[i] is the bitset of ids of the nodes containing
     # node i, i included, at_order[o] that of the nodes of order o
     masks, sup, at_order, placed = [1], [1], {1: 1}, []  # placed: ids of joined closures
@@ -240,7 +239,8 @@ def _coset_action(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         cap=max(n_cosets, 1),
         name=f"{group.name}/N{kernel.order}" if group.name else None,
     )
-    assert image.order == n_cosets, "coset action of a normal kernel is regular"
+    if image.order != n_cosets:
+        raise InvariantError("the coset action of a normal kernel is not regular")
 
     # the action is regular, so an image element is fixed by where it sends
     # the kernel coset, and g sends it to the coset of g
@@ -263,7 +263,8 @@ def subgroup_as_group(sub: Subgroup):
             return parent, identity, {i: i for i in range(parent.order)}
         gens = [parent.perm(i) for i in sub.gens]
         child = generate_group(gens, degree=parent.degree, cap=max(sub.order, 1))
-        assert child.order == sub.order
+        if child.order != sub.order:
+            raise InvariantError("a subgroup's generators span a group of another order")
         to_parent = parent.lookup_rows(child.rows)
         from_parent = {int(p): i for i, p in enumerate(to_parent)}
         return child, to_parent, from_parent

@@ -7,7 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup, close_members, closure_indices
+from .errors import InvariantError
+from .groups import FiniteGroup, closure_indices, extend_closure
 
 
 def mask_from_indices(indices) -> int:
@@ -105,9 +106,10 @@ class Subgroup:
         """A small generating set, chosen greedily in element-index order."""
 
         def pick() -> tuple[int, ...]:
-            have = np.arange(self.group.order) == 0
-            gens = _greedy_picks(self.group, have, self.indices)
-            assert mask_from_bool(have) == self.mask
+            have, gens = np.arange(self.group.order) == 0, []
+            extend_closure(self.group, have, gens, self.indices)
+            if mask_from_bool(have) != self.mask:
+                raise InvariantError("the greedy generators do not span the subgroup")
             return tuple(gens)
 
         return self.group.memo("small_gens", self.mask, pick)
@@ -123,18 +125,6 @@ class Subgroup:
         return Subgroup.from_indices(
             self.group, self.group.conj_set(self.index_array, g)
         )
-
-
-def _greedy_picks(group: FiniteGroup, have: np.ndarray, candidates, base=()) -> list[int]:
-    """The candidates, in order, that lie outside the closure of ``have``
-    under right multiplication by ``base`` and the earlier picks; ``have``
-    grows in place to that closure."""
-    picks: list[int] = []
-    for i in candidates:
-        if not have[i]:
-            picks.append(i)
-            close_members(have, group.right_maps([*base, *picks]))
-    return picks
 
 
 def span(group: FiniteGroup, seed) -> Subgroup:
@@ -167,7 +157,8 @@ def product_mask(a: Subgroup, b: Subgroup) -> int:
     covered[group.table[np.ix_(a.index_array, b.index_array)]] = True
     out = mask_from_bool(covered)
     expected = a.order * b.order // (a.mask & b.mask).bit_count()
-    assert out.bit_count() == expected, "product size violates |A||B|/|A∩B|"
+    if out.bit_count() != expected:
+        raise InvariantError("product size violates |A||B|/|A∩B|")
     return out
 
 
@@ -211,20 +202,23 @@ def center(group: FiniteGroup) -> Subgroup:
 
 
 def normal_closure_in(group: FiniteGroup, ambient_gens, seed) -> Subgroup:
-    """Smallest subgroup containing ``seed`` that the ambient generators normalize.
-
-    It is the closure S of {1} under x -> x*s (s in seed) and x -> x^g (g
-    ambient): x^g permutes the finite S, so x^(g^-1) is in S too, and then
-    x*s^g = (x^(g^-1)*s)^g is, so S is closed under every conjugate of the
-    seed; the normal closure holds 1 and is closed under both maps."""
+    """Smallest subgroup containing ``seed`` that the ambient generators normalize."""
     return closure_under_conj(group, group.conj_maps(ambient_gens), seed)
 
 
 def closure_under_conj(group: FiniteGroup, conj: np.ndarray, seed) -> Subgroup:
-    """``normal_closure_in`` over conjugation maps the caller built once."""
+    """``normal_closure_in`` over conjugation maps the caller built once.
+
+    N starts as <seed> and is extended by every conjugate x^g (a column of
+    ``conj``) of each of its generators x that N does not hold yet. Once
+    every generator's conjugates lie in N, N^g <= N for every ambient g, so
+    N^g = N, as N is finite."""
     member = np.arange(group.order) == 0
-    maps = np.concatenate([group.right_maps(seed), conj])
-    return Subgroup(group, mask_from_bool(close_members(member, maps)))
+    gens: list[int] = []
+    extend_closure(group, member, gens, seed)
+    for x in gens:  # the list grows while it is read
+        extend_closure(group, member, gens, conj[:, x])
+    return Subgroup(group, mask_from_bool(member))
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
@@ -336,10 +330,14 @@ def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
         return []
     group = p_subgroup.group
     phi = frattini_p(p_subgroup, p)
-    # coset basis of the elementary abelian quotient P/Phi
-    basis = _greedy_picks(group, phi.member_bool.copy(), p_subgroup.indices, phi.gens)
+    # coset basis of the elementary abelian quotient P/Phi: the elements of
+    # P, in index order, outside Phi and the earlier picks
+    gens = list(phi.gens)
+    extend_closure(group, phi.member_bool.copy(), gens, p_subgroup.indices)
+    basis = gens[len(phi.gens):]
     d = len(basis)
-    assert p**d * phi.order == p_subgroup.order
+    if p**d * phi.order != p_subgroup.order:
+        raise InvariantError("P/Phi(P) is not elementary abelian of the basis rank")
     out = []
     for functional in _normalized_functionals(p, d):
         kernel_gens = list(phi.gens)
@@ -349,9 +347,11 @@ def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
                 rep = group.mult(rep, group.power(b, coord))
             kernel_gens.append(rep)
         sub = span(group, kernel_gens)
-        assert sub.order * p == p_subgroup.order
+        if sub.order * p != p_subgroup.order:
+            raise InvariantError("a hyperplane preimage is not of index p")
         out.append(sub)
-    assert len(out) == (p**d - 1) // (p - 1)
+    if len(out) != (p**d - 1) // (p - 1):
+        raise InvariantError("the count of maximal subgroups is not (p^d - 1)/(p - 1)")
     return out
 
 

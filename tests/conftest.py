@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import subembed as se
@@ -40,6 +41,22 @@ def group1875():
     return dict(corpus)["(C5^2xC5^2):C3"]
 
 
+@pytest.fixture
+def closure_drops_an_element(monkeypatch):
+    """Make ``subembed.subgroups.extend_closure`` drop the last member of
+    each closure it grows, a broken closure for invariant checks to catch."""
+    import subembed.subgroups as subgroups
+
+    real = subgroups.extend_closure
+
+    def dropping(group, member, gens, new):
+        real(group, member, gens, new)
+        member[member.nonzero()[0][-1]] = False
+        return member
+
+    monkeypatch.setattr(subgroups, "extend_closure", dropping)
+
+
 # -- brute-force oracles ----------------------------------------------------
 
 
@@ -64,26 +81,72 @@ def raw_closure(perms: set[tuple]) -> set[tuple]:
         out |= new
 
 
+def row_lookup(group):
+    """A map from image rows of ``group`` to element indices, made from the
+    rows alone. Each row is keyed by its dot product with fixed random
+    weights; the keys are checked distinct on the group's rows, and every
+    row looked up is compared in full with the row found."""
+    weights = np.random.default_rng(0).integers(1, 2**62, group.degree)
+    keys = group.rows.astype(np.int64) @ weights
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    assert (np.diff(sorted_keys) != 0).all()
+
+    def lookup(rows):
+        pos = np.searchsorted(sorted_keys, rows @ weights)
+        found = order[np.minimum(pos, len(order) - 1)]
+        assert (group.rows[found] == rows).all()
+        return found
+
+    return lookup
+
+
+def row_closure(group, lookup, start, gens) -> np.ndarray:
+    """The boolean member array of the closure of the elements ``start``
+    (which hold 1) under right multiplication by ``gens``, breadth first
+    over image rows: the row of x*g is g's row read at x's images."""
+    member = np.zeros(group.order, dtype=bool)
+    member[start] = True
+    gen_rows = group.rows[list(gens)]
+    frontier = np.asarray(start)
+    while len(frontier):
+        products = gen_rows[:, group.rows[frontier]]  # [j, t] is frontier[t] * gens[j]
+        reached = np.zeros(group.order, dtype=bool)
+        reached[lookup(products.reshape(-1, group.degree))] = True
+        reached &= ~member
+        member |= reached
+        frontier = reached.nonzero()[0]
+    return member
+
+
 def all_subgroups(group) -> set[int]:
     """Masks of every subgroup, grown from the trivial one an element at a time.
 
     Every subgroup <h1, ..., hk> is reached along <h1> < <h1, h2> < ..., so
-    no bound on the number of generators is assumed.
+    no bound on the number of generators is assumed. Each <H, g> is closed
+    over image rows (``row_closure``), from H under H's recorded generators
+    and g, with no library closure and no Cayley table. g runs over the
+    least element of each right coset Hg outside H, since <H, hg> = <H, g>.
     """
-    found = {1}
+    from subembed.subgroups import mask_from_bool
+
+    lookup = row_lookup(group)
+    gens_of = {1: ()}
     frontier = [1]
     while frontier:
         grown = []
         for mask in frontier:
-            members = se.Subgroup(group, mask).indices
-            for g in range(group.order):
-                if not mask >> g & 1:
-                    new = se.span(group, [*members, g]).mask
-                    if new not in found:
-                        found.add(new)
-                        grown.append(new)
+            members = [i for i in range(group.order) if mask >> i & 1]
+            # products[x, t] is members[t] * x, so row x spans the coset Hx
+            products = group.rows[:, group.rows[members]]
+            least = lookup(products.reshape(-1, group.degree)).reshape(group.order, -1).min(axis=1)
+            for g in np.unique(least)[1:].tolist():
+                new = mask_from_bool(row_closure(group, lookup, members, gens_of[mask] + (g,)))
+                if new not in gens_of:
+                    gens_of[new] = gens_of[mask] + (g,)
+                    grown.append(new)
         frontier = grown
-    return found
+    return set(gens_of)
 
 
 def brute_normal_masks(group) -> set[int]:
@@ -181,8 +244,6 @@ def brute_s_quasinormal_masks(group, subgroup_masks) -> set[int]:
     """Oracle: the subgroups W with WS = SW for every Sylow subgroup S of G.
     The Sylow subgroups are all subgroups of full prime-power order, and
     each product set is gathered from the Cayley table."""
-    import numpy as np
-
     from subembed.subgroups import p_part, prime_divisors
 
     def product_set(a, b):

@@ -154,6 +154,12 @@ def test_verify_exits_4_on_counterexample(tmp_path, monkeypatch):
     assert code == 4
 
 
+def test_invariant_failure_exits_5(s4_file, closure_drops_an_element, capsys):
+    code = main(["invariants", "--group", s4_file])
+    assert code == 5
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list", "--max-order", "30"]) == 0
     out = capsys.readouterr().out

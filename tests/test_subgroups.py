@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import subembed as se
-from subembed import parse_cycles
+from subembed import InvariantError, parse_cycles
 from subembed.subgroups import (
     Subgroup,
     indices_from_mask,
@@ -16,7 +17,7 @@ from subembed.subgroups import (
     product_mask,
 )
 
-from conftest import raw_closure
+from conftest import raw_closure, row_closure, row_lookup
 
 
 def idx(group, text):
@@ -402,6 +403,99 @@ def test_one_pass_span_matches_greedy_closure(data):
     # Subgroup.gens keeps the greedy picks over the sorted member indices
     picks, _ = _greedy_closure(group, sub.indices)
     assert sub.gens == tuple(picks)
+
+
+def test_span_and_gens_match_greedy_closure_where_cosets_are_many(group1875):
+    # S6 and SL(2,3)xS4 (order 576), two query-mix groups built fresh so no
+    # generators are cached, need many cosets of small subgroups from few
+    # generators; the order-625 Sylow 5-subgroup of the order-1875 group is
+    # reached through a chain of up to four coset extensions
+    sylow5 = se.sylow(group1875, 5)
+    rng = random.Random(13)
+    for group, pool, expected in [
+        (se.build(se.Sym(6)), range(720), [6, 720, 60, 720, 720, 720]),
+        (se.build(se.Direct(se.SL23(), se.Sym(4))), range(576), [12, 24, 576, 288, 144, 576]),
+        (group1875, sylow5.indices, [5, 25, 25, 125, 125, 625]),
+    ]:
+        orders = []
+        for size in (1, 2, 2, 3, 3, 4):
+            seed = rng.sample(list(pool), size)
+            sub = se.span(group, seed)
+            _, have = _greedy_closure(group, seed)
+            assert set(sub.indices) == have
+            picks, _ = _greedy_closure(group, sub.indices)
+            assert sub.gens == tuple(picks)
+            orders.append(sub.order)
+        assert orders == expected
+
+
+def _hyperplane_kernels(p_subgroup, p):
+    """Oracle: the index-p subgroups of a p-group P, as the kernels of the
+    nonzero functionals (leading coefficient 1) on V = P/F, where
+    F = <x^p, [x, y] : x, y in P> is closed over image rows. A basis of V is
+    picked greedily, and each element x of P gets the coordinates of its
+    coset F·b1^a1···bd^ad. Returns the set of kernel masks."""
+    group, rows, lookup = p_subgroup.group, p_subgroup.group.rows, row_lookup(p_subgroup.group)
+    members = list(p_subgroup.indices)
+    m = len(members)
+    own = rows[members]
+
+    def compose(a, b):  # rows of a*b, batched: (a*b)(i) = b(a(i))
+        return np.take_along_axis(b, a, axis=-1)
+
+    power = own
+    for _ in range(p - 1):
+        power = compose(power, own)
+    inv = np.argsort(own, axis=1)
+    shape = (m, m, own.shape[1])  # [s, t] is the pair (members[s], members[t])
+    x, y = np.broadcast_to(own[:, None], shape), np.broadcast_to(own[None], shape)
+    xi, yi = np.broadcast_to(inv[:, None], shape), np.broadcast_to(inv[None], shape)
+    comms = compose(compose(compose(xi, yi), x), y)
+    verbal = np.unique(np.concatenate([lookup(power), lookup(comms.reshape(-1, shape[2]))]))
+    frattini = row_closure(group, lookup, [0], verbal.tolist())
+    basis, spanned = [], frattini
+    for i in members:
+        if not spanned[i]:
+            basis.append(i)
+            spanned = row_closure(group, lookup, spanned.nonzero()[0], [*verbal.tolist(), *basis])
+    coords = {}
+    words = [(0, ())]
+    for b in basis:
+        step = []
+        for w, c in words:
+            for a in range(p):
+                step.append((w, c + (a,)))
+                w = int(lookup(compose(rows[w], rows[b])[None])[0])
+        words = step
+    for w, c in words:
+        for x in lookup(compose(rows[frattini.nonzero()[0]], rows[w][None])).tolist():
+            coords[x] = c
+    assert sorted(coords) == members
+    kernels = set()
+    for f in itertools.product(range(p), repeat=len(basis)):
+        if any(f) and f[next(k for k, v in enumerate(f) if v)] == 1:
+            kernels.add(sum(1 << x for x, c in coords.items() if sum(u * v for u, v in zip(f, c)) % p == 0))
+    return kernels
+
+
+def test_maximal_subgroups_match_hyperplane_kernels():
+    # p_group_maximal_subgroups extends the closure from a nontrivial base
+    # (the Frattini subgroup) when it picks the basis of P/Phi(P)
+    checked = 0
+    for name, group in se.builtin_corpus(120):
+        for p in prime_divisors(group.order):
+            for syl in se.sylow_conjugates(group, p):
+                got = [sub.mask for sub in se.p_group_maximal_subgroups(syl, p)]
+                assert len(set(got)) == len(got), (name, p)
+                assert set(got) == _hyperplane_kernels(syl, p), (name, p)
+                checked += 1
+    assert checked == 255
+
+
+def test_gens_raise_invariant_error_when_the_closure_drops_an_element(closure_drops_an_element):
+    group = se.build(se.Sym(4))  # fresh, so no generators are cached
+    with pytest.raises(InvariantError):
+        Subgroup.whole(group).gens
 
 
 def test_mask_helpers_round_trip(group1875):
