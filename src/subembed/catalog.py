@@ -223,7 +223,9 @@ def _build_semidirect(expr: Semidirect, cap: int) -> FiniteGroup:
 def _word_to_index(normal: FiniteGroup, word) -> int:
     out = 0
     for gen_pos, exponent in word:
-        out = normal.mult(out, normal.power(normal.gen_indices[gen_pos], exponent))
+        g = normal.gen_indices[gen_pos]
+        for _ in range(exponent % normal.element_order(g)):
+            out = normal.mult(out, g)
     return out
 
 
@@ -344,6 +346,8 @@ def parse_group_file(text: str) -> tuple[str, GroupExpr]:
         elif keyword == "degree":
             if expr is not None:
                 raise GroupFileError("degree after expr", lineno)
+            if degree is not None:
+                raise GroupFileError("duplicate degree line", lineno)
             try:
                 degree = int(rest)
             except ValueError:
@@ -363,6 +367,8 @@ def parse_group_file(text: str) -> tuple[str, GroupExpr]:
         elif keyword == "expr":
             if degree is not None or cycles:
                 raise GroupFileError("expr cannot be mixed with degree/gen", lineno)
+            if expr is not None:
+                raise GroupFileError("duplicate expr line", lineno)
             try:
                 expr = parse_expr(rest)
             except ValueError as exc:

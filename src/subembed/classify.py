@@ -25,6 +25,7 @@ from .groups import FiniteGroup, extend_closure
 from .normal import a_chief_series, normal_lattice
 from .subgroups import (
     Subgroup,
+    center,
     centralizer,
     derived_of_subgroup,
     intersect,
@@ -370,8 +371,6 @@ class ClassReport:
 
 
 def class_report(group: FiniteGroup) -> ClassReport:
-    from .subgroups import center
-
     primes = {}
     for p in primes_of_group(group):
         primes[p] = PrimeReport(

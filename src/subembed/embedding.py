@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import primes_of_group, sylow_conjugates, sylow_of_subgroup
 from .groups import FiniteGroup
 from .normal import NormalLattice, normal_lattice
 from .subgroups import (
@@ -216,8 +217,6 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff H permutes with every Sylow subgroup of G (HS = SH for all
     conjugates of every Sylow subgroup)."""
-    from .classify import primes_of_group, sylow_conjugates
-
     _require_own_subgroup(group, h)
 
     def permutes() -> bool:
@@ -248,8 +247,6 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     which is a best-effort bound since full S-quasinormal subgroup
     enumeration is infeasible for large groups.
     """
-    from .classify import sylow_of_subgroup
-
     _require_own_subgroup(group, h)
 
     def search() -> bool:

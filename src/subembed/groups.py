@@ -156,18 +156,6 @@ class FiniteGroup:
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
 
-    def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(i), -k)
-        acc = 0
-        base = i
-        while k:
-            if k & 1:
-                acc = self.mult(acc, base)
-            base = self.mult(base, base)
-            k >>= 1
-        return acc
-
     def conj_by_all(self, h: int) -> np.ndarray:
         """Indices of h^g for every g, as an array indexed by g."""
         (h,) = self._checked([h])

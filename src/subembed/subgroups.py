@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 
@@ -315,77 +316,71 @@ def _require_p_group(h: Subgroup, p: int):
 
 
 def frattini_p(p_subgroup: Subgroup, p: int) -> Subgroup:
-    """Frattini subgroup of a p-group: derived subgroup joined with p-th powers."""
+    """Frattini subgroup of a p-group P: the normal closure in P of the
+    commutators and p-th powers of P's generators. The quotient by that
+    closure is abelian and generated by elements of order p, so it is
+    elementary abelian, and Phi(P) is the least such normal subgroup."""
     _require_p_group(p_subgroup, p)
-    group = p_subgroup.group
-    derived = derived_of_subgroup(p_subgroup)
-    powers = {group.power(x, p) for x in p_subgroup.indices}
-    return span(group, set(derived.gens) | powers)
+    group, table = p_subgroup.group, p_subgroup.group.table
+    xs = np.array(p_subgroup.gens, dtype=np.intp)
+    powers = xs
+    for _ in range(p - 1):
+        powers = table[powers, xs]
+    ab = table[xs[:, None], xs]  # [x_i, x_j] = (x_j x_i)^-1 x_i x_j = ab[j, i]^-1 ab[i, j]
+    comms = table[group.inv[ab.T], ab].ravel()
+    return normal_closure_in(group, p_subgroup.gens, np.concatenate([powers, comms]))
 
 
 def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
-    """All index-p subgroups: preimages of hyperplanes of P/Phi(P)."""
+    """All index-p subgroups: kernels of the functionals on P/Phi(P) = F_p^d.
+
+    The basis b_0, ..., b_{d-1} of P/Phi is picked in index order: b_k is
+    the first element of P outside S = <Phi, b_0, ..., b_{k-1}>, and
+    <S, b_k> is the union of the cosets S·b_k^c for c < p, each one gather
+    of column b_k from the one before. Every element x of P is labelled with
+    its coset of Phi as the base-p number whose digit k is the exponent of
+    b_k. Once the digits are checked to add mod p along every generator of
+    P, the labelling is a homomorphism onto F_p^d with kernel Phi; a wrong
+    Phi can still give p^d cosets whose labels do not add. The functionals
+    are ordered by the position of their leading 1, then lexicographically."""
     _require_p_group(p_subgroup, p)
     if p_subgroup.order == 1:
         return []
-    group = p_subgroup.group
+    group, table = p_subgroup.group, p_subgroup.group.table
     phi = frattini_p(p_subgroup, p)
-    # coset basis of the elementary abelian quotient P/Phi: the elements of
-    # P, in index order, outside Phi and the earlier picks
-    gens = list(phi.gens)
-    extend_closure(group, phi.member_bool.copy(), gens, p_subgroup.indices)
-    basis = gens[len(phi.gens):]
-    d = len(basis)
+    members, label = phi.index_array, np.full(group.order, -1, dtype=np.intp)
+    label[members] = 0
+    outside, d = p_subgroup.index_array, 0
+    while len(outside := outside[label[outside] < 0]):
+        cosets = [members]
+        for _ in range(1, p):
+            cosets.append(table[cosets[-1], outside[0]])
+        members = np.concatenate(cosets)
+        label[members] = np.arange(len(members)) // phi.order
+        d += 1
     if p**d * phi.order != p_subgroup.order:
         raise InvariantError("P/Phi(P) is not elementary abelian of the basis rank")
-    out = []
-    for functional in _normalized_functionals(p, d):
-        kernel_gens = list(phi.gens)
-        for vec in _kernel_basis(functional, p):
-            rep = 0
-            for coord, b in zip(vec, basis):
-                rep = group.mult(rep, group.power(b, coord))
-            kernel_gens.append(rep)
-        sub = span(group, kernel_gens)
-        if sub.order * p != p_subgroup.order:
-            raise InvariantError("a hyperplane preimage is not of index p")
-        out.append(sub)
-    if len(out) != (p**d - 1) // (p - 1):
+
+    place = p ** np.arange(d)
+
+    def digits(idx):
+        return label[idx][..., None] // place % p
+
+    xs, gens = p_subgroup.index_array[:, None], list(p_subgroup.gens)
+    if ((digits(table[xs, gens]) - digits(xs) - digits(gens)) % p).any():
+        raise InvariantError("the coset labels of P/Phi(P) are not a homomorphism")
+    functionals = [
+        (0,) * lead + (1,) + tail
+        for lead in range(d)
+        for tail in itertools.product(range(p), repeat=d - lead - 1)
+    ]
+    in_kernel = digits(members) @ np.array(functionals).T % p == 0
+    out = [Subgroup.from_indices(group, members[column]) for column in in_kernel.T]
+    if any(sub.order * p != p_subgroup.order for sub in out):
+        raise InvariantError("a hyperplane kernel is not of index p")
+    if len({sub.mask for sub in out}) != (p**d - 1) // (p - 1):
         raise InvariantError("the count of maximal subgroups is not (p^d - 1)/(p - 1)")
     return out
-
-
-def _normalized_functionals(p: int, d: int):
-    """Nonzero functionals on F_p^d with leading nonzero coordinate 1."""
-    for lead in range(d):
-        tail = [0] * d
-        tail[lead] = 1
-        yield from _extend_functional(tail, lead + 1, p, d)
-
-
-def _extend_functional(prefix, pos, p, d):
-    if pos == d:
-        yield tuple(prefix)
-        return
-    for c in range(p):
-        prefix[pos] = c
-        yield from _extend_functional(prefix, pos + 1, p, d)
-    prefix[pos] = 0
-
-
-def _kernel_basis(functional, p):
-    """A basis of the kernel of a nonzero functional on F_p^d."""
-    d = len(functional)
-    lead = next(i for i, c in enumerate(functional) if c)
-    basis = []
-    for j in range(d):
-        if j == lead:
-            continue
-        vec = [0] * d
-        vec[j] = 1
-        vec[lead] = (-functional[j]) % p
-        basis.append(vec)
-    return basis
 
 
 def omega(p_subgroup: Subgroup, p: int) -> Subgroup:

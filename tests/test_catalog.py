@@ -150,6 +150,12 @@ def test_parse_group_file_errors():
         parse_group_file("group x\ngen (1 2)\n")  # gen before degree
     with pytest.raises(GroupFileError):
         parse_group_file("group x\nexpr Alt(5)\ndegree 3\n")
+    with pytest.raises(GroupFileError) as exc:
+        parse_group_file("group x\ndegree 3\ngen (1 2 3)\ndegree 4\n")
+    assert exc.value.line == 4
+    with pytest.raises(GroupFileError) as exc:
+        parse_group_file("group x\nexpr Alt(5)\nexpr Sym(3)\n")
+    assert exc.value.line == 3
 
 
 def test_parse_expr_nested_semidirect_roundtrip():

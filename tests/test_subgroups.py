@@ -432,9 +432,10 @@ def test_span_and_gens_match_greedy_closure_where_cosets_are_many(group1875):
 def _hyperplane_kernels(p_subgroup, p):
     """Oracle: the index-p subgroups of a p-group P, as the kernels of the
     nonzero functionals (leading coefficient 1) on V = P/F, where
-    F = <x^p, [x, y] : x, y in P> is closed over image rows. A basis of V is
-    picked greedily, and each element x of P gets the coordinates of its
-    coset F·b1^a1···bd^ad. Returns the set of kernel masks."""
+    F = <x^p, [x, y] : x, y in P> = Phi(P) is closed over image rows. A basis
+    of V is picked greedily, and each element x of P gets the coordinates of
+    its coset F·b1^a1···bd^ad. Returns the set of kernel masks and the mask
+    of F."""
     group, rows, lookup = p_subgroup.group, p_subgroup.group.rows, row_lookup(p_subgroup.group)
     members = list(p_subgroup.indices)
     m = len(members)
@@ -475,21 +476,48 @@ def _hyperplane_kernels(p_subgroup, p):
     for f in itertools.product(range(p), repeat=len(basis)):
         if any(f) and f[next(k for k, v in enumerate(f) if v)] == 1:
             kernels.add(sum(1 << x for x, c in coords.items() if sum(u * v for u, v in zip(f, c)) % p == 0))
-    return kernels
+    return kernels, sum(1 << int(x) for x in frattini.nonzero()[0])
 
 
 def test_maximal_subgroups_match_hyperplane_kernels():
-    # p_group_maximal_subgroups extends the closure from a nontrivial base
-    # (the Frattini subgroup) when it picks the basis of P/Phi(P)
-    checked = 0
-    for name, group in se.builtin_corpus(120):
-        for p in prime_divisors(group.order):
-            for syl in se.sylow_conjugates(group, p):
-                got = [sub.mask for sub in se.p_group_maximal_subgroups(syl, p)]
-                assert len(set(got)) == len(got), (name, p)
-                assert set(got) == _hyperplane_kernels(syl, p), (name, p)
-                checked += 1
-    assert checked == 255
+    # the maximal subgroups are built over frattini_p, so a Phi that is too
+    # large drops maximal subgroups without failing the intersection test;
+    # Phi is compared with the oracle's F on its own. The second set of
+    # groups reaches ranks d = 3 to 6 of P/Phi(P).
+    wide = [
+        (name, se.build(expr))
+        for name, expr in (
+            ("C2^6", se.ElemAbelian(2, 6)),
+            ("C3^4", se.ElemAbelian(3, 4)),
+            ("C5^3", se.ElemAbelian(5, 3)),
+            ("D8xC2^3", se.Direct(se.Dihedral(8), se.ElemAbelian(2, 3))),
+            ("Q8xC2^3", se.Direct(se.Quaternion8(), se.ElemAbelian(2, 3))),
+            ("S4xC2^3", se.Direct(se.Sym(4), se.ElemAbelian(2, 3))),
+        )
+    ]
+    for groups, expected in ((se.builtin_corpus(120), 255), (wide, 12)):
+        checked = 0
+        for name, group in groups:
+            for p in prime_divisors(group.order):
+                for syl in se.sylow_conjugates(group, p):
+                    got = [sub.mask for sub in se.p_group_maximal_subgroups(syl, p)]
+                    kernels, frattini = _hyperplane_kernels(syl, p)
+                    assert len(set(got)) == len(got), (name, p)
+                    assert set(got) == kernels, (name, p)
+                    assert se.frattini_p(syl, p).mask == frattini, (name, p)
+                    checked += 1
+        assert checked == expected
+
+
+def test_maximal_subgroups_raise_when_frattini_is_too_small(by_name, monkeypatch):
+    # over the trivial subgroup the coset labels of C4, Q8, D8 and C9 still
+    # count p^d elements, but they are not a homomorphism onto F_p^d
+    monkeypatch.setattr(
+        se.subgroups, "frattini_p", lambda p_subgroup, p: Subgroup.trivial(p_subgroup.group)
+    )
+    for name, p in (("C4", 2), ("Q8", 2), ("D8", 2), ("C9", 3)):
+        with pytest.raises(InvariantError):
+            se.p_group_maximal_subgroups(Subgroup.whole(by_name[name]), p)
 
 
 def test_gens_raise_invariant_error_when_the_closure_drops_an_element(closure_drops_an_element):
