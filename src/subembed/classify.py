@@ -158,11 +158,8 @@ def fitting_p(group: FiniteGroup, p: int) -> Subgroup:
 
 
 def is_abelian(group: FiniteGroup) -> bool:
-    return all(
-        group.mult(a, b) == group.mult(b, a)
-        for a in group.gen_indices
-        for b in group.gen_indices
-    )
+    """Every commutator of two generators is the identity, index 0."""
+    return not group.commutators(group.gen_indices, group.gen_indices).any()
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:
@@ -255,11 +252,7 @@ def hypercentre(group: FiniteGroup) -> Subgroup:
     is central iff [l, g] lies in K for the generators l of L and g of G."""
 
     def central(low: Subgroup, high: Subgroup) -> bool:
-        return all(
-            low.contains_index(group.commutator(l, g))
-            for l in high.gens
-            for g in group.gen_indices
-        )
+        return bool(low.member_bool[group.commutators(high.gens, group.gen_indices)].all())
 
     return _layered_join(Subgroup.trivial(group), central)
 

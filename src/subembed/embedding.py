@@ -36,6 +36,7 @@ from .subgroups import (
     prime_divisors,
     product_mask,
     product_with_normal,
+    require_own_subgroup,
 )
 
 
@@ -56,11 +57,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _require_own_subgroup(group: FiniteGroup, h: Subgroup) -> None:
-    if h.group is not group:
-        raise ValueError("subgroup has a different parent group")
 
 
 def _section_subgroup(h: Subgroup, lat: NormalLattice, k: int, l: int) -> Subgroup:
@@ -130,7 +126,7 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
 
     H must be a p-subgroup of G.
     """
-    _require_own_subgroup(group, h)
+    require_own_subgroup(group, h)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p_part(h.order, p) != h.order:
@@ -152,7 +148,7 @@ def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     """True iff some chief series has, on every factor, |G : N_G((H∩L)K)| a
     pi((H∩L)K/K)-number. Only 1 is an empty-pi number, which is harmless:
     an avoided factor forces X = K, normal of index 1."""
-    _require_own_subgroup(group, h)
+    require_own_subgroup(group, h)
 
     def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
         order = _section_order(h, lat, k, l)
@@ -169,7 +165,7 @@ def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     |X| = |K|. Since K <= L, Dedekind's law gives HK ∩ L = (H∩L)K, so
     L <= HK iff X = L iff |X| = |L|. No product is built.
     """
-    _require_own_subgroup(group, h)
+    require_own_subgroup(group, h)
 
     def refute(lat: NormalLattice, k: int, l: int) -> str | None:
         order = _section_order(h, lat, k, l)
@@ -192,7 +188,7 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     Both read |(H∩L)K| off popcounts; only the q-factor branch, for a section
     strictly between K and L, builds (H∩L)K to scan its normalizer.
     """
-    _require_own_subgroup(group, h)
+    require_own_subgroup(group, h)
 
     def refute(lat: NormalLattice, k: int, l: int) -> str | None:
         low, high = lat.nodes[k].order, lat.nodes[l].order
@@ -217,7 +213,7 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff H permutes with every Sylow subgroup of G (HS = SH for all
     conjugates of every Sylow subgroup)."""
-    _require_own_subgroup(group, h)
+    require_own_subgroup(group, h)
 
     def permutes() -> bool:
         if h.is_normal():
@@ -247,7 +243,7 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     which is a best-effort bound since full S-quasinormal subgroup
     enumeration is infeasible for large groups.
     """
-    _require_own_subgroup(group, h)
+    require_own_subgroup(group, h)
 
     def search() -> bool:
         lat = normal_lattice(group)

@@ -15,9 +15,13 @@ Every element closure goes through :func:`extend_closure`, which grows a
 closed subgroup H to <H, g> one right coset H·r at a time (Dimino's
 algorithm), each coset one gather from a table column; it is where the
 indices of a generating set are checked. :func:`closure_indices` extends
-{1}. Orbits run on *maps* (row t sends x to ``maps[t, x]``):
-:meth:`FiniteGroup.conj_maps` gives x -> x^g, and :func:`orbit_labels`
-labels each element with its orbit's least element.
+{1}. :meth:`FiniteGroup.commutators` reads the block of [x, y] over two
+index lists from two table blocks and one inverse gather; a normal closure
+conjugates only generators, x^g for every g in ``gs`` being the one gather
+``table[table[inv[gs], x], gs]``. Orbits run on *maps* (row t sends x to
+``maps[t, x]``): :meth:`FiniteGroup.conj_maps` gives x -> x^g over the
+whole group, for the conjugacy classes, and :func:`orbit_labels` labels
+each element with its orbit's least element.
 """
 
 from __future__ import annotations
@@ -178,11 +182,17 @@ class FiniteGroup:
 
     def conj_set(self, idxs: np.ndarray, g: int) -> np.ndarray:
         """Indices of x^g for every x in ``idxs``."""
+        if not 0 <= g < self.order:
+            raise ValueError(f"element index {g} out of range")
         table = self.table
         return table[:, g][table[self.inverse(g), idxs]]
 
-    def commutator(self, a: int, b: int) -> int:
-        return self.mult(self.mult(self.inverse(a), self.inverse(b)), self.mult(a, b))
+    def commutators(self, xs, ys) -> np.ndarray:
+        """The |xs|×|ys| block of [x, y] = x^-1 y^-1 x y = (yx)^-1 (xy):
+        two table blocks and one inverse gather."""
+        xs, ys = self._checked(xs), self._checked(ys)
+        table = self.table
+        return table[self.inv[table[ys, xs[:, None]]], table[xs[:, None], ys]]
 
     # -- element orders and conjugacy classes ----------------------------
 

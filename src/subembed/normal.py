@@ -11,14 +11,14 @@ import numpy as np
 from .errors import InvariantError, ResourceCapError
 from .groups import FiniteGroup, generate_group, orbit_labels
 from .perms import Permutation
-from .subgroups import Subgroup, closure_under_conj, indices_from_mask, product_mask, span
+from .subgroups import Subgroup, indices_from_mask, normal_closure_in, product_mask, span
 
 DEFAULT_NODE_CAP = 4096
 
 
 def normal_closure(group: FiniteGroup, seed) -> Subgroup:
     """Smallest normal subgroup of ``group`` containing the seed indices."""
-    return closure_under_conj(group, group.conj_maps(group.gen_indices), seed)
+    return normal_closure_in(group, group.gen_indices, seed)
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,14 @@ def product_with_normal(a: Subgroup, n: Subgroup) -> Subgroup:
     return Subgroup(a.group, product_mask(a, n))
 
 
+def require_own_subgroup(group: FiniteGroup, h: Subgroup) -> None:
+    if h.group is not group:
+        raise ValueError("subgroup has a different parent group")
+
+
 def normalizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
     """{g : h^g = h}, by a full scan over the group."""
+    require_own_subgroup(group, h)
 
     def scan() -> int:
         ok = np.ones(group.order, dtype=bool)
@@ -192,6 +198,7 @@ def normalizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
 
 
 def centralizer(group: FiniteGroup, h: Subgroup) -> Subgroup:
+    require_own_subgroup(group, h)
     ok = np.ones(group.order, dtype=bool)
     for s in h.gens:
         ok &= group.conj_by_all(s) == s
@@ -203,22 +210,19 @@ def center(group: FiniteGroup) -> Subgroup:
 
 
 def normal_closure_in(group: FiniteGroup, ambient_gens, seed) -> Subgroup:
-    """Smallest subgroup containing ``seed`` that the ambient generators normalize."""
-    return closure_under_conj(group, group.conj_maps(ambient_gens), seed)
+    """Smallest subgroup containing ``seed`` that the ambient generators normalize.
 
-
-def closure_under_conj(group: FiniteGroup, conj: np.ndarray, seed) -> Subgroup:
-    """``normal_closure_in`` over conjugation maps the caller built once.
-
-    N starts as <seed> and is extended by every conjugate x^g (a column of
-    ``conj``) of each of its generators x that N does not hold yet. Once
-    every generator's conjugates lie in N, N^g <= N for every ambient g, so
-    N^g = N, as N is finite."""
+    N starts as <seed>. For each generator x of N, as the list grows, one
+    gather reads x^g for every ambient generator g, and N is extended by
+    those it does not hold yet. Once every generator's conjugates lie in N,
+    N^g <= N for every ambient g, so N^g = N, as N is finite."""
+    gs = group._checked(ambient_gens)
+    table, inv_gs = group.table, group.inv[gs]
     member = np.arange(group.order) == 0
     gens: list[int] = []
     extend_closure(group, member, gens, seed)
     for x in gens:  # the list grows while it is read
-        extend_closure(group, member, gens, conj[:, x])
+        extend_closure(group, member, gens, table[table[inv_gs, x], gs])
     return Subgroup(group, mask_from_bool(member))
 
 
@@ -228,18 +232,16 @@ def derived_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def derived_of_subgroup(h: Subgroup) -> Subgroup:
-    group = h.group
-    comms = {group.commutator(a, b) for a in h.gens for b in h.gens if a != b}
-    return normal_closure_in(group, h.gens, comms)
+    comms = h.group.commutators(h.gens, h.gens)
+    return normal_closure_in(h.group, h.gens, comms.ravel())
 
 
 def lower_central_series(group: FiniteGroup) -> list[Subgroup]:
     """gamma_1 >= gamma_2 >= ... until stable (last term repeated once dropped)."""
     series = [Subgroup.whole(group)]
-    conj = group.conj_maps(group.gen_indices)
     while True:
-        comms = {group.commutator(x, g) for x in series[-1].gens for g in group.gen_indices}
-        nxt = closure_under_conj(group, conj, comms)
+        comms = group.commutators(series[-1].gens, group.gen_indices)
+        nxt = normal_closure_in(group, group.gen_indices, comms.ravel())
         if nxt == series[-1]:
             return series
         series.append(nxt)
@@ -297,10 +299,8 @@ def is_p_group(h: Subgroup, p: int) -> bool:
 
 
 def is_abelian_subgroup(h: Subgroup) -> bool:
-    group = h.group
-    return all(
-        group.mult(a, b) == group.mult(b, a) for a in h.gens for b in h.gens
-    )
+    """Every commutator of two generators is the identity, index 0."""
+    return not h.group.commutators(h.gens, h.gens).any()
 
 
 def is_cyclic_subgroup(h: Subgroup) -> bool:
@@ -326,8 +326,7 @@ def frattini_p(p_subgroup: Subgroup, p: int) -> Subgroup:
     powers = xs
     for _ in range(p - 1):
         powers = table[powers, xs]
-    ab = table[xs[:, None], xs]  # [x_i, x_j] = (x_j x_i)^-1 x_i x_j = ab[j, i]^-1 ab[i, j]
-    comms = table[group.inv[ab.T], ab].ravel()
+    comms = group.commutators(xs, xs).ravel()
     return normal_closure_in(group, p_subgroup.gens, np.concatenate([powers, comms]))
 
 

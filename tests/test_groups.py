@@ -56,9 +56,34 @@ def test_memo_computes_once_per_key():
 
 def test_conj_by_all_rejects_out_of_range_index():
     s4 = se.build(se.Sym(4))
+    sub = se.span(s4, [1])
     for h in (-1, s4.order):
         with pytest.raises(ValueError, match="out of range"):
             s4.conj_by_all(h)
+        with pytest.raises(ValueError, match="out of range"):
+            s4.conj_set(sub.index_array, h)
+        with pytest.raises(ValueError, match="out of range"):
+            sub.conjugate(h)
+        with pytest.raises(ValueError, match="out of range"):
+            s4.commutators([1], [h])
+
+
+def test_commutators_match_row_composition(corpus400):
+    """[x, y] = x^-1 y^-1 x y on raw image tuples, over the generators and,
+    so that the block is not square, the last element as well."""
+    for name, group in corpus400:
+        if group.order > 60:
+            continue
+        xs = list(group.gen_indices)
+        ys = xs + [group.order - 1]
+        block = group.commutators(xs, ys)
+        assert block.shape == (len(xs), len(ys)), name
+        for i, x in enumerate(xs):
+            a = group.perm(x).images
+            for j, y in enumerate(ys):
+                b = group.perm(y).images
+                want = raw_compose(raw_compose(raw_inverse(a), raw_inverse(b)), raw_compose(a, b))
+                assert group.perm(block[i, j]).images == want, (name, x, y)
 
 
 def test_identity_is_index_zero():

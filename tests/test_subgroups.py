@@ -13,6 +13,8 @@ from subembed.subgroups import (
     Subgroup,
     indices_from_mask,
     is_cyclic_subgroup,
+    mask_from_bool,
+    normal_closure_in,
     prime_divisors,
     product_mask,
 )
@@ -182,6 +184,57 @@ def test_normalizer_of_normal_is_whole(by_name):
 def test_normalizer_of_sylow5_in_a5(by_name):
     a5 = by_name["A5"]
     assert se.normalizer(a5, se.sylow(a5, 5)).order == 10
+
+
+def test_normalizer_and_centralizer_reject_a_foreign_subgroup(by_name):
+    s4, s5 = by_name["S4"], by_name["S5"]
+    in_s5 = se.span(s5, [idx(s5, "(1 2 3 4 5)")])
+    in_s4 = se.span(s4, [idx(s4, "(1 2)")])
+    for group, h in ((s4, in_s5), (s5, in_s4)):
+        with pytest.raises(ValueError, match="different parent"):
+            se.normalizer(group, h)
+        with pytest.raises(ValueError, match="different parent"):
+            se.centralizer(group, h)
+    # the normalizer is memoised by mask: a cached mask must not let an S5
+    # subgroup with the same mask through
+    se.normalizer(s4, in_s4)
+    with pytest.raises(ValueError, match="different parent"):
+        se.normalizer(s4, Subgroup(s5, in_s4.mask))
+
+
+def brute_closure_under_conjugation(group, ambient, seed) -> int:
+    """The mask of the least subset holding 1 and ``seed`` that is closed
+    under products and under conjugation by every element of ``ambient``."""
+    table, hs = group.table, np.asarray(ambient, dtype=np.intp)
+    member = np.zeros(group.order, dtype=bool)
+    member[[0, *seed]] = True
+    while True:
+        xs = member.nonzero()[0]
+        grown = member.copy()
+        grown[table[np.ix_(xs, xs)]] = True
+        grown[table[table[group.inv[hs][:, None], xs], hs[:, None]]] = True
+        if (grown == member).all():
+            return mask_from_bool(member)
+        member = grown
+
+
+def test_normal_closure_in_matches_conjugation_by_every_element(corpus400, query_mix_groups):
+    """Ambients: every Sylow subgroup and one seeded 2-element span; seeds:
+    two seeded random elements of the group."""
+    rng = random.Random(15)
+    named = dict(query_mix_groups)
+    groups = [g for _, g in corpus400 if g.order <= 60] + [named["S6"], named["SL(2,3)xS4"]]
+    for group in groups:
+        ambients = [se.sylow(group, p) for p in prime_divisors(group.order)]
+        ambients.append(se.span(group, rng.sample(range(group.order), min(2, group.order))))
+        for amb in ambients:
+            seed = [rng.randrange(group.order) for _ in range(2)]
+            got = normal_closure_in(group, amb.gens, seed)
+            assert got.mask == brute_closure_under_conjugation(group, amb.indices, seed), (
+                group.name,
+                amb.order,
+                seed,
+            )
 
 
 def test_centralizer_brute_force(by_name):
