@@ -14,16 +14,27 @@ Every per-factor test reads the section X = (H∩L)K off its order first.
 Since (H∩L)∩K = H∩K, |X| = |H∩L|·|K|/|H∩K| comes from three mask popcounts.
 K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup strictly
 between them that is not normal. X = K means H∩L ≤ K (the factor is
-avoided); X = K or X = L means X is normal, with normalizer index 1. Only a
-section strictly between K and L is built as a product and has its
-normalizer scanned; on a prime-order factor that never happens.
+avoided); X = K or X = L means X is normal, with normalizer index 1. On a
+prime-order factor no other case arises.
+
+A section strictly between K and L is first tested against one number per
+cover pair, |G : C| for C = C_G(L/K). C normalizes X: for g ∈ C and x ∈ X,
+x^g ∈ xK ⊆ X. X is not normal in G, since L/K is a chief factor. So
+|G : N_G(X)| is a divisor of |G : C| greater than 1: it is a pi-number when
+every prime of |G : C| is in pi, and not one when none is. Only when
+|G : C| has primes both in and outside pi is X built as a product and its
+normalizer scanned. ``recheck_witness_partial_s_pi`` never uses this bound;
+it builds and scans every section, as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classify import primes_of_group, sylow_conjugates, sylow_of_subgroup
+from .errors import InvariantError
 from .groups import FiniteGroup
 from .normal import NormalLattice, normal_lattice
 from .subgroups import (
@@ -72,13 +83,54 @@ def _section_order(h: Subgroup, lat: NormalLattice, k: int, l: int) -> int:
     return (h.mask & high.mask).bit_count() * low.order // meet_low
 
 
+def factor_centralizer_index(group: FiniteGroup, lat: NormalLattice, k: int, l: int) -> int:
+    """|G : C_G(L/K)| for the cover pair (K, L), computed once per cover.
+
+    g centralizes L/K iff s^g ∈ sK for every generator s of L: the x in L
+    with x^g ∈ xK form a subgroup, since g acts on L/K as an automorphism.
+    So each generator costs one ``conj_by_all`` gather, read against the
+    boolean mask of the coset sK. The memo keys on node ids, which the
+    group's one lattice fixes."""
+
+    def compute() -> int:
+        low = lat.nodes[k].index_array
+        central = np.ones(group.order, dtype=bool)
+        coset = np.zeros(group.order, dtype=bool)
+        for s in lat.nodes[l].gens:
+            coset[:] = False
+            coset[group.table[s, low]] = True
+            central &= coset[group.conj_by_all(s)]
+        return group.order // int(np.count_nonzero(central))
+
+    return group.memo("factor_centralizer", (k, l), compute)
+
+
+def _decided_by_centralizer(group: FiniteGroup, lat: NormalLattice, k: int, l: int, pi):
+    """For a section X strictly between K and L, |G : N_G(X)| is a divisor
+    of |G : C_G(L/K)| greater than 1. True when every prime of that index is
+    in pi, False when none is, None when the bound does not decide."""
+    index = factor_centralizer_index(group, lat, k, l)
+    if index == 1:
+        raise InvariantError("a chief factor centralized by G has a strict section")
+    inside = [q in pi for q in prime_divisors(index)]
+    if all(inside):
+        return True
+    if not any(inside):
+        return False
+    return None
+
+
 def _section_index_is_pi(group, h, lat, k: int, l: int, order: int, pi) -> bool:
     """|G : N_G(X)| a pi-number for the section X = (H∩L)K of this order.
-    X = K or X = L is normal, of index 1; any other X is built and its
-    normalizer scanned. N_{G/K}(X/K) = N_G(X)/K since K <= X is normal, so
-    the index upstairs equals the index in G."""
+    X = K or X = L is normal, of index 1. Any other X is first tried against
+    |G : C_G(L/K)| (see the module docstring); only when that bound does not
+    decide is X built and its normalizer scanned. N_{G/K}(X/K) = N_G(X)/K
+    since K <= X is normal, so the index upstairs equals the index in G."""
     if order in (lat.nodes[k].order, lat.nodes[l].order):
         return True
+    decided = _decided_by_centralizer(group, lat, k, l, pi)
+    if decided is not None:
+        return decided
     x = _section_subgroup(h, lat, k, l)
     return is_pi_number(group.order // normalizer(group, x).order, pi)
 
@@ -186,7 +238,8 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     A chief factor is abelian exactly when its order is a prime power, so
     the two non-avoided branches are distinguished by the factor order.
     Both read |(H∩L)K| off popcounts; only the q-factor branch, for a section
-    strictly between K and L, builds (H∩L)K to scan its normalizer.
+    strictly between K and L that |G : C_G(L/K)| does not decide, builds
+    (H∩L)K to scan its normalizer.
     """
     require_own_subgroup(group, h)
 
@@ -275,7 +328,8 @@ def recheck_witness_partial_s_pi(
     """Re-validate a witness chain clause by clause (used for spot audits).
 
     Each section (H∩L)K is built as a product and its normalizer scanned,
-    independently of the order tests the predicate itself uses."""
+    independently of the order tests and the centralizer bound the
+    predicate itself uses."""
     lat = normal_lattice(group)
     if not chain or chain[0] != 0 or chain[-1] != lat.top:
         return False

@@ -36,6 +36,42 @@ def query_mix_groups():
 
 
 @pytest.fixture(scope="session")
+def lattice_rich_groups():
+    """Groups with large normal lattices, by name: the nine of the
+    ``invariants-lattice`` benchmark workload (``INVARIANTS_LATTICE``), and
+    D8xC2^2 and C2^4xC3, where many nodes share an order (35 of order 8 in
+    D8xC2^2, 35 each of orders 4 and 12 in C2^4xC3)."""
+    E, D = se.ElemAbelian, se.Direct
+    exprs = {
+        "C2^5": E(2, 5),
+        "C3^4": E(3, 4),
+        "C2^4xC3^2": D(E(2, 4), E(3, 2)),
+        "C2^3xC3^3": D(E(2, 3), E(3, 3)),
+        "D8xC2^3": D(se.Dihedral(8), E(2, 3)),
+        "Q8xC2^3": D(se.Quaternion8(), E(2, 3)),
+        "C2^5xC3": D(E(2, 5), se.Cyclic(3)),
+        "S4xC2^3": D(se.Sym(4), E(2, 3)),
+        "S3xS3xC2^2": D(D(se.Sym(3), se.Sym(3)), E(2, 2)),
+        "D8xC2^2": D(se.Dihedral(8), E(2, 2)),
+        "C2^4xC3": D(E(2, 4), se.Cyclic(3)),
+    }
+    return {name: se.build(expr) for name, expr in exprs.items()}
+
+
+INVARIANTS_LATTICE = (
+    "C2^5",
+    "C3^4",
+    "C2^4xC3^2",
+    "C2^3xC3^3",
+    "D8xC2^3",
+    "Q8xC2^3",
+    "C2^5xC3",
+    "S4xC2^3",
+    "S3xS3xC2^2",
+)
+
+
+@pytest.fixture(scope="session")
 def group1875():
     corpus = se.builtin_corpus(1, include_example_1875=True)
     return dict(corpus)["(C5^2xC5^2):C3"]
@@ -117,6 +153,21 @@ def row_closure(group, lookup, start, gens) -> np.ndarray:
         member |= reached
         frontier = reached.nonzero()[0]
     return member
+
+
+def brute_factor_centralizer_order(group, low, high) -> int:
+    """Oracle: |C_G(L/K)|, the number of g with x^-1 x^g in K for every x in
+    L, composed on image rows (the row of a*b is b's row read at a's
+    images), with no Cayley table and no generators of L."""
+    lookup = row_lookup(group)
+    in_low = np.zeros(group.order, dtype=bool)
+    in_low[list(low.indices)] = True
+    xs = group.rows[list(high.indices)]
+    # conj[x, g] is the row of g^-1 x g, comm[x, g] that of x^-1 x^g
+    conj = np.take_along_axis(group.rows[None], xs[:, np.argsort(group.rows, axis=1)], axis=2)
+    comm = np.take_along_axis(conj, np.argsort(xs, axis=1)[:, None], axis=2)
+    found = lookup(comm.reshape(-1, group.degree)).reshape(len(xs), group.order)
+    return int(in_low[found].all(axis=0).sum())
 
 
 def all_subgroups(group) -> set[int]:

@@ -15,6 +15,7 @@ from subembed.harness import _e_p_nilpotent, o_p_prime_of_normal, sylow_of_norma
 from subembed.subgroups import intersect, p_part, prime_divisors
 
 from conftest import (
+    INVARIANTS_LATTICE,
     brute_normal_masks,
     brute_u_hypercentre,
     child_f_star,
@@ -53,27 +54,11 @@ def test_sylow_of_subgroup_rejects_non_prime(by_name):
         sylow_of_subgroup(se.sylow(by_name["S4"], 2), 4)
 
 
-def _query_mix_groups():
-    """The eight groups of the ``query-mix`` benchmark."""
-    D = se.Direct
-    exprs = [
-        se.Sym(5),
-        se.SL23(),
-        D(se.Alt(4), se.Cyclic(3)),
-        D(se.Dihedral(8), se.Cyclic(2)),
-        se.ElemAbelian(5, 3),
-        se.Sym(6),
-        D(se.Alt(5), se.Sym(3)),
-        D(se.SL23(), se.Sym(4)),
-    ]
-    return [se.build(expr) for expr in exprs]
-
-
-def test_sylow_of_subgroup_matches_child_group_oracle():
+def test_sylow_of_subgroup_matches_child_group_oracle(query_mix_groups):
     """Grown inside G, a Sylow subgroup of H is H-conjugate to the one found
     in H built as a group, over lattice nodes and random spans."""
     rng = random.Random(7)
-    for group in _query_mix_groups():
+    for _, group in query_mix_groups:
         spans = [
             se.span(group, [rng.randrange(group.order) for _ in range(rng.choice((1, 2)))])
             for _ in range(12)
@@ -277,23 +262,6 @@ def test_class_report_to_dict_is_jsonable(by_name):
     assert '"order": 24' in text
 
 
-def _lattice_rich_groups():
-    """The nine lattice-rich groups of the ``invariants-lattice`` benchmark."""
-    E, D = se.ElemAbelian, se.Direct
-    exprs = {
-        "C2^5": E(2, 5),
-        "C3^4": E(3, 4),
-        "C2^4xC3^2": D(E(2, 4), E(3, 2)),
-        "C2^3xC3^3": D(E(2, 3), E(3, 3)),
-        "D8xC2^3": D(se.Dihedral(8), E(2, 3)),
-        "Q8xC2^3": D(se.Quaternion8(), E(2, 3)),
-        "C2^5xC3": D(E(2, 5), se.Cyclic(3)),
-        "S4xC2^3": D(se.Sym(4), E(2, 3)),
-        "S3xS3xC2^2": D(D(se.Sym(3), se.Sym(3)), E(2, 2)),
-    }
-    return [(name, se.build(expr)) for name, expr in exprs.items()]
-
-
 def _check_group_level(name, group):
     """Z_U, Z_inf and F_p read as intervals of G's lattice, against the
     routes through quotient groups."""
@@ -330,8 +298,9 @@ def test_lattice_structure_matches_child_group_oracles():
         _check_normal_subgroups(name, group)
 
 
-def test_lattice_rich_structure_matches_child_group_oracles():
-    for name, group in _lattice_rich_groups():
+def test_lattice_rich_structure_matches_child_group_oracles(lattice_rich_groups):
+    for name in INVARIANTS_LATTICE:
+        group = lattice_rich_groups[name]
         _check_group_level(name, group)
         # every node of a nilpotent group is nilpotent, so its radicals are
         # forced; the 3000 nodes of the seven nilpotent ones as child groups

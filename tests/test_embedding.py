@@ -3,10 +3,11 @@ import pytest
 import subembed as se
 from subembed import parse_cycles
 from subembed.embedding import recheck_witness_partial_s_pi
-from subembed.subgroups import Subgroup, prime_divisors
+from subembed.subgroups import Subgroup, mask_from_indices, prime_divisors
 
 from conftest import (
     all_subgroups,
+    brute_factor_centralizer_order,
     brute_partial_s_pi,
     brute_s_qn_embedded,
     brute_s_quasinormal_masks,
@@ -347,6 +348,109 @@ def test_supersoluble_predicates_build_no_products(corpus400, monkeypatch):
         assert calls == [], name
         checked += 1
     assert checked >= 50
+
+
+def test_factor_centralizer_bounds_every_cyclic_section(corpus400, query_mix_groups, group1875):
+    # |G : C_G(L/K)| against the raw-row centralizer on every cover of
+    # non-prime order; then every cyclic section <x>K strictly between K and
+    # L has a normalizer index above 1 that divides it (order 1875 is too
+    # large for the raw-row oracle, so it gets the second check only)
+    from subembed.embedding import factor_centralizer_index
+    from subembed.subgroups import is_prime, product_with_normal
+
+    small = [(n, g) for n, g in corpus400 if g.order <= 120]
+    covers = sections = 0
+    for name, group in [*small, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        lat = se.normal_lattice(group)
+        for k, l in lat.covers:
+            low, high = lat.nodes[k], lat.nodes[l]
+            if is_prime(high.order // low.order):
+                continue
+            index = factor_centralizer_index(group, lat, k, l)
+            if group is not group1875:
+                brute = brute_factor_centralizer_order(group, low, high)
+                assert index * brute == group.order, (name, k, l)
+            covers += 1
+            seen, strict = low.mask, set()
+            for x in high.indices:
+                if seen >> x & 1:
+                    continue  # <xk>K = <x>K, so one x per coset xK will do
+                seen |= mask_from_indices(group.table[x, low.index_array])
+                section = product_with_normal(se.span(group, [x]), low)
+                if section.order < high.order:
+                    strict.add(section)
+            for section in strict:
+                n = group.order // se.normalizer(group, section).order
+                assert n > 1 and index % n == 0, (name, k, l, section.order)
+            sections += len(strict)
+    assert (covers, sections) == (75, 712)
+
+
+def test_centralizer_bound_keeps_every_verdict(corpus400, query_mix_groups, group1875, monkeypatch):
+    # with the bound off every strict section is built and its normalizer
+    # scanned; the verdicts, witnesses and refutations must not change.
+    # recheck_witness_partial_s_pi never consults the bound.
+    import subembed.embedding as embedding
+
+    real = embedding._decided_by_centralizer
+    decided = []
+
+    def recording(*args):
+        decided.append(real(*args))
+        return decided[-1]
+
+    def forbidden(*args):
+        raise AssertionError("the recheck consulted the centralizer bound")
+
+    small = [(n, g) for n, g in corpus400 if g.order <= 120]
+    for name, group in [*small, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        pool = se.standard_pool(group)
+
+        def verdicts(decide):
+            for section in ("partial_s_pi", "partial_pi", "gen_cap"):
+                group.cache.pop(section, None)
+            with monkeypatch.context() as patch:
+                patch.setattr(embedding, "_decided_by_centralizer", decide)
+                return [
+                    (se.partial_s_pi(group, h, p), se.partial_pi(group, h), se.gen_cap(group, h))
+                    for p, h in pool
+                ]
+
+        bounded = verdicts(recording)
+        assert bounded == verdicts(lambda *args: None), name
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "_decided_by_centralizer", forbidden)
+            for (p, h), (verdict, _, _) in zip(pool, bounded):
+                if verdict.holds:
+                    assert recheck_witness_partial_s_pi(group, h, p, verdict.witness), name
+    # the pools hold p-subgroups, so pi = {p} on every test, and the bound
+    # never passes one: over an abelian p-factor a p-power |G : C_G(L/K)|
+    # would be 1, since a p-group acting irreducibly on an F_p-module acts
+    # trivially; over a non-abelian factor |G : C| has at least three primes
+    assert (decided.count(True), decided.count(False), decided.count(None)) == (0, 16752, 367)
+
+
+def test_centralizer_bound_outcomes(by_name, monkeypatch):
+    # |A4 : C(V4)| = 3 and |S4 : C(V4)| = 6: the bound passes when pi holds
+    # every prime of the index, fails when it holds none, else leaves the scan
+    from subembed.embedding import _decided_by_centralizer, factor_centralizer_index
+
+    a4, s4 = by_name["A4"], by_name["S4"]
+    lat_a4, lat_s4 = se.normal_lattice(a4), se.normal_lattice(s4)
+    assert factor_centralizer_index(a4, lat_a4, 0, 1) == 3
+    assert factor_centralizer_index(s4, lat_s4, 0, 1) == 6
+    assert _decided_by_centralizer(a4, lat_a4, 0, 1, (3,)) is True
+    assert _decided_by_centralizer(a4, lat_a4, 0, 1, (2,)) is False
+    assert _decided_by_centralizer(s4, lat_s4, 0, 1, (2, 3)) is True
+    assert _decided_by_centralizer(s4, lat_s4, 0, 1, (5,)) is False
+    assert _decided_by_centralizer(s4, lat_s4, 0, 1, (2,)) is None
+    # a factor centralized by all of G has prime order, so no strict section
+    import subembed.embedding as embedding
+    from subembed.errors import InvariantError
+
+    monkeypatch.setattr(embedding, "factor_centralizer_index", lambda *args: 1)
+    with pytest.raises(InvariantError):
+        _decided_by_centralizer(s4, lat_s4, 0, 1, (2,))
 
 
 def test_s_qn_embedded_matches_the_span_search(corpus400, query_mix_groups):

@@ -52,19 +52,15 @@ def test_lattice_klein_whole(by_name):
     assert all(s.factor_orders == (2, 2) for s in series)
 
 
-def _lattice_rich_groups():
-    # many nodes share an order (35 of order 8 in D8xC2^2, 35 each of orders 4
-    # and 12 in C2^4xC3), so the build must tell equal-order nodes apart
-    E = se.ElemAbelian
-    return [
-        ("D8xC2^2", se.build(se.Direct(se.Dihedral(8), E(2, 2)))),
-        ("C2^4xC3", se.build(se.Direct(E(2, 4), se.Cyclic(3)))),
-    ]
+# many nodes share an order in these two, so the build must tell
+# equal-order nodes apart
+EQUAL_ORDER_RICH = ("D8xC2^2", "C2^4xC3")
 
 
-def test_lattice_against_brute_force(by_name):
+def test_lattice_against_brute_force(by_name, lattice_rich_groups):
     names = ("S3xC2", "A4", "D8", "C7:C3", "SL(2,3)")
-    for name, group in [(n, by_name[n]) for n in names] + _lattice_rich_groups():
+    rich = [(n, lattice_rich_groups[n]) for n in EQUAL_ORDER_RICH]
+    for name, group in [(n, by_name[n]) for n in names] + rich:
         expected = brute_normal_masks(group)
         got = {n.mask for n in se.normal_lattice(group).nodes}
         assert got == expected, name
@@ -103,9 +99,10 @@ def test_covers_have_empty_interval(by_name):
                 assert not (low.is_subset_of(mid) and mid.is_subset_of(high))
 
 
-def test_covers_match_brute_force_pass(by_name):
+def test_covers_match_brute_force_pass(lattice_rich_groups):
     c2_4 = se.build(se.ElemAbelian(2, 4))
-    for name, group in se.builtin_corpus(60) + [("C2^4", c2_4)] + _lattice_rich_groups():
+    rich = [(n, lattice_rich_groups[n]) for n in EQUAL_ORDER_RICH]
+    for name, group in se.builtin_corpus(60) + [("C2^4", c2_4)] + rich:
         lat = se.normal_lattice(group)
         keys = [(n.order, n.indices) for n in lat.nodes]
         assert keys == sorted(keys), name
