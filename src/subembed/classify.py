@@ -9,9 +9,8 @@ E ∩ O_p'(G), E ∩ F_p(G) and E ∩ F*(G). F*(G) and the Sylow subgroups of
 any subgroup are read inside G too (``f_star``, ``_grow_sylow``), so no
 routine here builds a group of its own.
 
-Solubility is computed along two independent routes (derived series and
-chief-factor orders), and :class:`InvariantError` is raised if they differ,
-as a standing cross-check of the lattice code.
+Solubility is read off the derived series; the tests compare it with the
+chief-factor route on the corpus and the lattice-rich groups.
 """
 
 from __future__ import annotations
@@ -186,29 +185,10 @@ def soluble_by_derived_series(group: FiniteGroup) -> bool:
         current = nxt
 
 
-def factor_is_abelian(group: FiniteGroup, lower: Subgroup, upper: Subgroup) -> bool:
-    return derived_of_subgroup(upper).is_subset_of(lower)
-
-
-def soluble_by_chief_factors(group: FiniteGroup) -> bool:
-    lat = normal_lattice(group)
-    series = a_chief_series(group)
-    for a, b in zip(series.chain, series.chain[1:]):
-        low, high = lat.nodes[a], lat.nodes[b]
-        order = high.order // low.order
-        if len(prime_divisors(order)) != 1:
-            return False
-        if not factor_is_abelian(group, low, high):
-            return False
-    return True
-
-
 def is_soluble(group: FiniteGroup) -> bool:
-    via_derived = soluble_by_derived_series(group)
-    via_factors = soluble_by_chief_factors(group)
-    if via_derived != via_factors:
-        raise InvariantError("solubility by derived series and by chief factors differ")
-    return via_derived
+    """The derived series reaches 1. The chief-factor route to the same
+    answer is a test oracle (``tests/conftest.py``)."""
+    return soluble_by_derived_series(group)
 
 
 def is_p_soluble(group: FiniteGroup, p: int) -> bool:

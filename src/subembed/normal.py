@@ -76,9 +76,12 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     # so joining each closure into every node found before it reaches them all;
     # the normal closure of x is the span of the class of x
     closures = sorted({span(group, cls).mask for cls in group.conjugacy_classes()})
-    # ids follow discovery: sup[i] is the bitset of ids of the nodes containing
-    # node i, i included, at_order[o] that of the nodes of order o
-    masks, sup, at_order, placed = [1], [1], {1: 1}, []  # placed: ids of joined closures
+    # ids follow discovery: masks[i] is node i and subs[i] its one Subgroup,
+    # kept for the whole build so that its index array is made once; sup[i]
+    # is the bitset of ids of the nodes containing node i, i included, and
+    # at_order[o] that of the nodes of order o; placed holds the ids of the
+    # joined closures
+    masks, subs, sup, at_order, placed = [1], [Subgroup.trivial(group)], [1], {1: 1}, []
 
     def add(x: int, over: int) -> None:
         # ``over`` holds the nodes containing x. Each node is the join of the
@@ -88,6 +91,7 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
         for j in indices_from_mask(((1 << t) - 1) & ~outside):
             sup[j] |= 1 << t
         masks.append(x)
+        subs.append(Subgroup(group, x))
         sup.append(over | (1 << t))
         at_order[x.bit_count()] = at_order.get(x.bit_count(), 0) | (1 << t)
         if len(masks) > node_cap:
@@ -106,21 +110,48 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
             both = sup[m] & sup[found]
             order = masks[m].bit_count() * c.bit_count() // (masks[m] & c).bit_count()
             if not both & at_order.get(order, 0):
-                add(product_mask(Subgroup(group, masks[m]), Subgroup(group, c)), both)
+                add(product_mask(subs[m], subs[found]), both)
 
-    subs = [Subgroup(group, m) for m in masks]
-    rank = sorted(range(len(subs)), key=lambda i: (subs[i].order, subs[i].indices))
-    new_id = {i: k for k, i in enumerate(rank)}
-    # above[k] is sup of node k renumbered to sorted ids, k itself left out.
-    # The covers of k are the ids above k that lie above no other id above k.
-    above = [sum(1 << new_id[j] for j in indices_from_mask(sup[i] ^ (1 << i))) for i in rank]
+    # from here on ids are the sorted ones, and sup is renumbered to them
+    rank = sorted(range(len(masks)), key=lambda i: _sort_key(masks[i], group.order))
+    sup = _renumbered(sup, rank)
     up: dict[int, tuple[int, ...]] = {}
-    for k, bits in enumerate(above):
-        beyond = reduce(or_, (above[mid] for mid in indices_from_mask(bits)), 0)
-        up[k] = indices_from_mask(bits & ~beyond)
+    for k, bits in enumerate(sup):
+        # ids follow order, so the lowest id above k is a cover of k: a node
+        # strictly between would have a smaller order, hence a smaller id.
+        # Striking off that cover's whole up-set keeps every other cover of k
+        # and drops every node above this one, so the lowest id left is again
+        # a cover. That is one big-int step per cover, not per comparable pair
+        rest, got = bits ^ (1 << k), []
+        while rest:
+            low = rest & -rest
+            got.append(low.bit_length() - 1)
+            rest &= ~sup[got[-1]]
+        up[k] = tuple(got)
     covers = tuple((k, l) for k in up for l in up[k])
     nodes = tuple(subs[i] for i in rank)
     return NormalLattice(group, nodes, covers, up, {s.mask: k for k, s in enumerate(nodes)})
+
+
+def _sort_key(mask: int, width: int) -> tuple[int, int]:
+    """A key that sorts the masks of subgroups of a group of order ``width``
+    as (order, member indices) does, without building the indices. Of two
+    masks of one order, the lowest bit where they differ belongs to the one
+    that sorts first; reversing ``width`` bits makes that bit the highest."""
+    return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
+
+
+def _renumbered(sup: list[int], rank: list[int]) -> list[int]:
+    """Bitsets over discovery ids renumbered to sorted ids, where sorted id k
+    is discovery id ``rank[k]``: the n bitsets as one n×n bit matrix, its
+    rows and columns taken by rank."""
+    n = len(sup)
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in sup), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(n, width), axis=1, count=n, bitorder="little")
+    order = np.asarray(rank, dtype=np.intp)
+    rows = np.packbits(bits.take(order, axis=0).take(order, axis=1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def minimal_normals(group: FiniteGroup) -> list[Subgroup]:

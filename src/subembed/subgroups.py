@@ -142,10 +142,14 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
 def product_mask(a: Subgroup, b: Subgroup) -> int:
     """Bitmask of the element set {xy : x in a, y in b}.
 
-    One gather from the Cayley table: entry (i, j) of the |A|×|B| block is
-    a_i*b_j. The block holds |A||B| = |AB|·|A∩B| indices for as long as the
+    One broadcast gather from the Cayley table, the column of A's indices
+    against the row of B's: entry (i, j) of the |A|×|B| block is a_i*b_j.
+    Both index arrays are cached on the Subgroup objects, so a caller that
+    keeps its objects (the lattice build keeps one per node) builds each
+    once. The block holds |A||B| = |AB|·|A∩B| indices for as long as the
     call runs: at most 25M two-byte entries at the default order cap, next
-    to the 200 MB table itself.
+    to the 200 MB table itself. The size of the result is checked against
+    |A||B|/|A∩B|.
     """
     if a.group is not b.group:
         raise ValueError("subgroups have different parent groups")
@@ -155,7 +159,7 @@ def product_mask(a: Subgroup, b: Subgroup) -> int:
     if b.is_subset_of(a):
         return a.mask
     covered = np.zeros(group.order, dtype=bool)
-    covered[group.table[np.ix_(a.index_array, b.index_array)]] = True
+    covered[group.table[a.index_array[:, None], b.index_array]] = True
     out = mask_from_bool(covered)
     expected = a.order * b.order // (a.mask & b.mask).bit_count()
     if out.bit_count() != expected:

@@ -220,6 +220,44 @@ def brute_covers(nodes) -> list[tuple[int, int]]:
     ]
 
 
+def matrix_covers(nodes) -> list[tuple[int, int]]:
+    """Oracle: the cover pairs of ``nodes`` from their containment matrix, in
+    quadratic space rather than the cubic loop of ``brute_covers``. S[i, j]
+    says nodes[i] < nodes[j], and (S·S)[i, j] counts the nodes strictly
+    between, so the covers are where S holds and S·S is zero."""
+    member = np.array([n.member_bool for n in nodes], dtype=np.float32)
+    orders = member.sum(axis=1)
+    meet = member @ member.T
+    strict = (meet == orders[:, None]) & (orders[:, None] < orders[None, :])
+    s = strict.astype(np.float32)
+    cover = strict & ((s @ s) == 0)
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(cover))]
+
+
+def factor_is_abelian(group, lower, upper) -> bool:
+    """Whether upper/lower is abelian: the derived subgroup of upper lies in lower."""
+    from subembed.subgroups import derived_of_subgroup
+
+    return derived_of_subgroup(upper).is_subset_of(lower)
+
+
+def soluble_by_chief_factors(group) -> bool:
+    """Oracle: solubility read off one chief series, every factor abelian of
+    prime-power order; ``is_soluble`` goes by the derived series instead."""
+    from subembed.normal import a_chief_series
+    from subembed.subgroups import prime_divisors
+
+    lat = se.normal_lattice(group)
+    chain = a_chief_series(group).chain
+    for a, b in zip(chain, chain[1:]):
+        low, high = lat.nodes[a], lat.nodes[b]
+        if len(prime_divisors(high.order // low.order)) != 1:
+            return False
+        if not factor_is_abelian(group, low, high):
+            return False
+    return True
+
+
 def brute_u_hypercentre(group):
     """Oracle: join of all normal N whose internal cover pairs all have
     prime-order factors (the definitional reading, brute force)."""

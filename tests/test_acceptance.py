@@ -8,16 +8,12 @@ import time
 
 import subembed as se
 from subembed import ResourceCapError
-from subembed.classify import (
-    factor_is_abelian,
-    soluble_by_chief_factors,
-    soluble_by_derived_series,
-)
+from subembed.classify import soluble_by_derived_series
 from subembed.harness import THEOREM_IDS, run_corpus
 from subembed.subgroups import Subgroup, prime_divisors
 
 import property_checks as pc
-from conftest import brute_u_hypercentre
+from conftest import brute_u_hypercentre, factor_is_abelian, soluble_by_chief_factors
 
 
 def _report(number: int, ok: bool, detail: str):

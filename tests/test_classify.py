@@ -7,7 +7,6 @@ from subembed.classify import (
     class_report,
     p_soluble_nodes,
     sylow_of_subgroup,
-    soluble_by_chief_factors,
     soluble_by_derived_series,
     u_hypercentre_over,
 )
@@ -30,6 +29,7 @@ from conftest import (
     quotient_hypercentre,
     quotient_u_hypercentre,
     quotient_u_hypercentre_over,
+    soluble_by_chief_factors,
 )
 
 
@@ -140,8 +140,9 @@ def test_s4_p_supersolubility(by_name):
     assert not se.is_p_supersoluble(s4, 2)
 
 
-def test_soluble_two_routes_agree():
-    for name, group in se.builtin_corpus(120):
+def test_soluble_two_routes_agree(lattice_rich_groups):
+    groups = se.builtin_corpus(120) + list(lattice_rich_groups.items())
+    for name, group in groups:
         assert soluble_by_derived_series(group) == soluble_by_chief_factors(group), name
 
 

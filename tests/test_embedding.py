@@ -551,3 +551,38 @@ def test_s_qn_embedded_builds_only_products_that_keep_h_q_sylow(monkeypatch):
                 se.s_qn_embedded(group, h)
         assert calls == expected, group.name
         assert len(expected) < len(pool) * len(nodes), group.name
+
+
+@pytest.mark.parametrize(
+    "expr, gens, index",
+    [(se.Alt(6), "(1 2 3 4 5); (1 2 3)", 360), (se.Sym(6), "(1 2 3 4 5); (1 2)", 720)],
+)
+def test_centralizer_bound_passes_on_a_point_stabilizer(expr, gens, index, monkeypatch):
+    # H = A5 in A6 or S5 in S6 fixes the point 6. On the cover 1 < A6 the
+    # section X = H∩A6 = A5 has pi = {2, 3, 5}, which holds every prime of
+    # |G : C_G(A6)| = |G|, so the bound passes it without building X; the
+    # scan agrees: |G : N_G(X)| = 6 divides |G : C| and is a pi-number
+    import subembed.embedding as embedding
+    from subembed.embedding import _decided_by_centralizer, factor_centralizer_index
+
+    group = se.build(expr)
+    h = se.span(group, [idx(group, c) for c in gens.split(";")])
+    lat = se.normal_lattice(group)
+    assert (lat.nodes[1].order, h.order) == (360, group.order // 6)
+    assert factor_centralizer_index(group, lat, 0, 1) == index
+    assert _decided_by_centralizer(group, lat, 0, 1, (2, 3, 5)) is True
+    x = Subgroup(group, h.mask & lat.nodes[1].mask)
+    normalizer_index = group.order // se.normalizer(group, x).order
+    assert normalizer_index == 6 and index % normalizer_index == 0
+    real, seen = embedding._decided_by_centralizer, []
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(embedding, "_decided_by_centralizer", recording)
+    bounded = se.partial_pi(group, h)
+    assert bounded.holds and True in seen
+    group.cache.pop("partial_pi", None)
+    monkeypatch.setattr(embedding, "_decided_by_centralizer", lambda *args: None)
+    assert se.partial_pi(group, h) == bounded

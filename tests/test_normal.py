@@ -1,10 +1,21 @@
+import random
+
 import pytest
 
 import subembed as se
 from subembed import ResourceCapError, parse_cycles
-from subembed.subgroups import Subgroup, normal_closure_in
+from subembed.subgroups import Subgroup, indices_from_mask, normal_closure_in
 
-from conftest import brute_covers, brute_normal_masks, raw_compose, raw_inverse, socle
+from conftest import (
+    INVARIANTS_LATTICE,
+    brute_covers,
+    brute_normal_masks,
+    factor_is_abelian,
+    matrix_covers,
+    raw_compose,
+    raw_inverse,
+    socle,
+)
 
 
 def idx(group, text):
@@ -133,6 +144,57 @@ def test_elementary_abelian_lattice_counts(by_name, p, n, nodes, covers):
     group = by_name["C3^3"] if (p, n) == (3, 3) else se.build(se.ElemAbelian(p, n))
     lat = se.normal_lattice(group)
     assert (len(lat.nodes), len(lat.covers)) == (nodes, covers)
+
+
+def _subspace_lattice(p: int, n: int) -> tuple[int, int]:
+    """(nodes, covers) of the lattice of subspaces of F_p^n."""
+    spaces = [_gaussian_binomial(n, k, p) for k in range(n + 1)]
+    return sum(spaces), sum(s * (p ** (n - k) - 1) // (p - 1) for k, s in enumerate(spaces))
+
+
+@pytest.mark.parametrize(
+    "name, parts, nodes, covers",
+    [
+        ("C2^4xC3^2", ((2, 4), (3, 2)), 402, 1976),
+        ("C2^3xC3^3", ((2, 3), (3, 3)), 448, 2228),
+        ("C2^5xC3", ((2, 5), (3, 1)), 748, 4528),
+    ],
+)
+def test_coprime_product_lattice_counts(lattice_rich_groups, name, parts, nodes, covers):
+    # for |A| and |B| coprime every normal subgroup of A×B is a product M×N,
+    # and M×N < M'×N' is a cover when one side is a cover and the other equal,
+    # so covers(A×B) = covers(A)·nodes(B) + nodes(A)·covers(B)
+    (na, ca), (nb, cb) = (_subspace_lattice(p, n) for p, n in parts)
+    assert (na * nb, ca * nb + na * cb) == (nodes, covers)
+    lat = se.normal_lattice(lattice_rich_groups[name])
+    assert (len(lat.nodes), len(lat.covers)) == (nodes, covers)
+
+
+def test_lattice_rich_covers_match_the_matrix_oracle(lattice_rich_groups):
+    assert set(INVARIANTS_LATTICE) <= set(lattice_rich_groups)
+    for name, group in lattice_rich_groups.items():
+        lat = se.normal_lattice(group)
+        keys = [(n.order, n.indices) for n in lat.nodes]
+        assert keys == sorted(keys), name
+        expected = matrix_covers(lat.nodes)
+        assert list(lat.covers) == expected, name
+        for k in range(len(lat.nodes)):
+            assert lat.up[k] == tuple(l for kk, l in expected if kk == k), (name, k)
+
+
+@pytest.mark.parametrize("width", [5, 13, 24, 64, 97, 216])
+def test_sort_key_orders_masks_as_order_and_indices(width):
+    from subembed.normal import _sort_key
+
+    rng = random.Random(width)
+    masks = set()
+    for weight in {1, width // 3, width // 2, width - 1}:
+        for _ in range(60):
+            masks.add(sum(1 << i for i in rng.sample(range(width), weight)))
+    masks = list(masks)
+    rng.shuffle(masks)
+    want = sorted(masks, key=lambda m: (m.bit_count(), indices_from_mask(m)))
+    assert sorted(masks, key=lambda m: _sort_key(m, width)) == want
 
 
 def test_minimal_normals_a4(by_name):
@@ -301,8 +363,6 @@ def test_jordan_holder_small():
         except ResourceCapError:
             continue
         lat = se.normal_lattice(group)
-        from subembed.classify import factor_is_abelian
-
         def signature(s):
             return sorted(
                 (
