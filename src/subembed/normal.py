@@ -14,6 +14,9 @@ from .perms import Permutation
 from .subgroups import Subgroup, indices_from_mask, normal_closure_in, product_mask, span
 
 DEFAULT_NODE_CAP = 4096
+# rows per block when containment bitsets are renumbered: 64 rows of a
+# cap-sized lattice are 256 KB of unpacked bits
+_RENUMBER_ROWS = 64
 
 
 def normal_closure(group: FiniteGroup, seed) -> Subgroup:
@@ -120,8 +123,9 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
         # ids follow order, so the lowest id above k is a cover of k: a node
         # strictly between would have a smaller order, hence a smaller id.
         # Striking off that cover's whole up-set keeps every other cover of k
-        # and drops every node above this one, so the lowest id left is again
-        # a cover. That is one big-int step per cover, not per comparable pair
+        # and drops every node above that cover, so the lowest id left is
+        # again a cover. That is one big-int step per cover, not one per
+        # comparable pair
         rest, got = bits ^ (1 << k), []
         while rest:
             low = rest & -rest
@@ -143,15 +147,19 @@ def _sort_key(mask: int, width: int) -> tuple[int, int]:
 
 def _renumbered(sup: list[int], rank: list[int]) -> list[int]:
     """Bitsets over discovery ids renumbered to sorted ids, where sorted id k
-    is discovery id ``rank[k]``: the n bitsets as one n×n bit matrix, its
-    rows and columns taken by rank."""
-    n = len(sup)
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in sup), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(n, width), axis=1, count=n, bitorder="little")
+    is discovery id ``rank[k]``: entry k is ``sup[rank[k]]`` with its bits
+    moved by rank. The bits are moved as bit-matrix columns, a block of
+    _RENUMBER_ROWS rows at a time, so that the matrix is never held whole."""
+    n, width = len(sup), (len(sup) + 7) // 8
     order = np.asarray(rank, dtype=np.intp)
-    rows = np.packbits(bits.take(order, axis=0).take(order, axis=1), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    out = []
+    for start in range(0, n, _RENUMBER_ROWS):
+        rows = rank[start : start + _RENUMBER_ROWS]
+        raw = np.frombuffer(b"".join(sup[i].to_bytes(width, "little") for i in rows), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+        packed = np.packbits(bits.take(order, axis=1), axis=1, bitorder="little")
+        out += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return out
 
 
 def minimal_normals(group: FiniteGroup) -> list[Subgroup]:

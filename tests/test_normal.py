@@ -363,6 +363,7 @@ def test_jordan_holder_small():
         except ResourceCapError:
             continue
         lat = se.normal_lattice(group)
+
         def signature(s):
             return sorted(
                 (
