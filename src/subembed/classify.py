@@ -174,7 +174,9 @@ def is_p_nilpotent(group: FiniteGroup, p: int) -> bool:
     return radical_p_prime(group, p).order == group.order // pp
 
 
-def soluble_by_derived_series(group: FiniteGroup) -> bool:
+def is_soluble(group: FiniteGroup) -> bool:
+    """The derived series reaches 1. The chief-factor route to the same
+    answer is a test oracle (``tests/conftest.py``)."""
     current = Subgroup.whole(group)
     while True:
         nxt = derived_of_subgroup(current)
@@ -183,12 +185,6 @@ def soluble_by_derived_series(group: FiniteGroup) -> bool:
         if nxt.mask == current.mask:
             return False
         current = nxt
-
-
-def is_soluble(group: FiniteGroup) -> bool:
-    """The derived series reaches 1. The chief-factor route to the same
-    answer is a test oracle (``tests/conftest.py``)."""
-    return soluble_by_derived_series(group)
 
 
 def is_p_soluble(group: FiniteGroup, p: int) -> bool:
