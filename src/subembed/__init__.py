@@ -36,6 +36,7 @@ from .classify import (
     is_soluble,
     is_supersoluble,
     nilpotent_residual,
+    p_residual,
     radical_p,
     radical_p_prime,
     sylow,

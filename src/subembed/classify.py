@@ -125,6 +125,32 @@ def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
     return _largest_normal(group, ("O_p'", p), lambda n: n.order % p != 0)
 
 
+def p_residual(group: FiniteGroup, p: int) -> Subgroup:
+    """O^p(G): the least normal subgroup of p-power index, the least lattice
+    node whose index is a power of p, checked to lie in every such node (so
+    it is the unique one). It is generated by the p'-elements of G. Like
+    every lattice read, it raises :class:`ResourceCapError` past the
+    lattice's node cap, unless G is a p-group or p does not divide |G|."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if group.order % p:
+        return Subgroup.whole(group)
+    if p_part(group.order, p) == group.order:
+        return Subgroup.trivial(group)
+
+    def scan() -> Subgroup:
+        lat = normal_lattice(group)
+        passing = [
+            n for n, order in zip(lat.nodes, lat.orders) if is_pi_number(group.order // order, (p,))
+        ]
+        least = passing[0]  # nodes are sorted by order
+        if not all(least.is_subset_of(node) for node in passing):
+            raise InvariantError(f"no least normal subgroup of {p}-power index")
+        return least
+
+    return group.memo("radical", ("O^p", p), scan)
+
+
 def _largest_normal(group: FiniteGroup, key, passes) -> Subgroup:
     """The largest lattice node that passes the test, cached under ``key``
     and checked to contain every passing node (so it is the unique one)."""
@@ -196,17 +222,29 @@ def is_p_soluble(group: FiniteGroup, p: int) -> bool:
 
 def p_soluble_nodes(group: FiniteGroup, p: int) -> tuple[bool, ...]:
     """Per lattice node, whether its G-chief factors are all p- or p'-groups;
-    by Jordan–Hölder one chain of covers up to the node decides it."""
+    by Jordan–Hölder one chain of covers up to the node decides it. One
+    pass over the covers fills the flags of every prime of |G| at once,
+    reading each factor order once."""
+    flags = group.memo("p_soluble", "flags", lambda: _p_soluble_flags(group))
+    if p in flags:
+        return flags[p]
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return (True,) * len(normal_lattice(group).nodes)  # p does not divide |G|
 
-    def flags() -> tuple[bool, ...]:
-        lat = normal_lattice(group)
-        ok = [True] + [False] * lat.top
-        for k, l in lat.covers:  # sorted by k, and k < l
-            q = lat.nodes[l].order // lat.nodes[k].order
-            ok[l] |= ok[k] and (q % p != 0 or p_part(q, p) == q)
-        return tuple(ok)
 
-    return group.memo("p_soluble", p, flags)
+def _p_soluble_flags(group: FiniteGroup) -> dict[int, tuple[bool, ...]]:
+    lat = normal_lattice(group)
+    primes, orders = primes_of_group(group), lat.orders
+    ok = {p: [True] + [False] * lat.top for p in primes}
+    for k, l in lat.covers:  # sorted by k, and k < l
+        q = orders[l] // orders[k]
+        # a factor of prime-power order passes for every p, any other fails
+        # for the primes that divide it
+        prime_power = any(p_part(q, p) == q for p in primes)
+        for p in primes:
+            ok[p][l] |= ok[p][k] and (prime_power or q % p != 0)
+    return {p: tuple(flags) for p, flags in ok.items()}
 
 
 def is_supersoluble(group: FiniteGroup) -> bool:

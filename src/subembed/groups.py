@@ -13,9 +13,13 @@ keyed on row bytes, built on its first call.
 
 Every element closure goes through :func:`extend_closure`, which grows a
 closed subgroup H to <H, g> one right coset H·r at a time (Dimino's
-algorithm), each coset one gather from a table column; it is where the
-indices of a generating set are checked. :func:`closure_indices` extends
-{1}. :meth:`FiniteGroup.commutators` reads the block of [x, y] over two
+algorithm; Holt–Eick–O'Brien, *Handbook of Computational Group Theory*,
+2005), each coset one gather from a table column; it is where the indices
+of a generating set are checked. From H = 1 a coset has one element, so the
+first step walks the powers g, g^2, ... of g through the table until 1 and
+sets them in one scatter: every cyclic span, and the first generator of
+every other closure, takes that walk. :func:`closure_indices` extends {1}.
+:meth:`FiniteGroup.commutators` reads the block of [x, y] over two
 index lists from two table blocks and one inverse gather; a normal closure
 conjugates only generators, x^g for every g in ``gs`` being the one gather
 ``table[table[inv[gs], x], gs]``. Orbits run on *maps* (row t sends x to
@@ -294,13 +298,20 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
     generator s with r·s outside adds the coset H·(r·s) and its
     representative. The union then holds r·s for every r and s, so, as a
     union of right cosets of H, it is closed under right multiplication by
-    every generator: it is the subgroup.
+    every generator: it is the subgroup. The first step, from H = 1 with no
+    generators, is the power walk g, g^2, ..., 1, with no cosets.
     """
     table = group.table
     for g in group._checked(new).tolist():
         if member.item(g):
             continue
         gens.append(g)
+        if len(gens) == 1:  # member is {1}, so <g> is the powers of g
+            powers = [g]
+            while powers[-1]:
+                powers.append(table.item(powers[-1], g))
+            member[powers] = True
+            continue
         base = member.nonzero()[0]
         member[table[:, g][base]] = True
         reps = [g]

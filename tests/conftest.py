@@ -351,6 +351,36 @@ def brute_s_quasinormal_masks(group, subgroup_masks) -> set[int]:
     }
 
 
+def brute_s_permutable(group, h) -> bool:
+    """Oracle: H is normal, or HS = SH as product sets for every Sylow
+    conjugate S (at once when one of H and S contains the other), with no
+    use of O^p(G)."""
+    from subembed.subgroups import product_mask, prime_divisors
+
+    if h.is_normal():
+        return True
+    return all(
+        h.is_subset_of(s) or s.is_subset_of(h) or product_mask(h, s) == product_mask(s, h)
+        for p in prime_divisors(group.order)
+        for s in se.sylow_conjugates(group, p)
+    )
+
+
+def random_p_subgroups(group, p, count, seed):
+    """``count`` seeded p-subgroups: the span of one or two random members
+    of a random conjugate of the Sylow p-subgroup."""
+    import random
+
+    rng = random.Random(seed)
+    syl = se.sylow(group, p)
+    out = []
+    for _ in range(count):
+        members = syl.conjugate(rng.randrange(group.order)).indices
+        picks = [rng.choice(members) for _ in range(rng.choice((1, 2)))]
+        out.append(se.span(group, picks))
+    return out
+
+
 def brute_s_qn_embedded(h, subgroup_masks, quasinormal) -> bool:
     """Oracle: for each prime q of |H|, some S-quasinormal W has a Sylow
     q-subgroup of H as a Sylow q-subgroup. H_q is the first subgroup of H of

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import subembed as se
@@ -97,6 +98,27 @@ def test_radicals_against_brute_force(by_name):
             p_prime = [m for m in normals if m.bit_count() % p]
             assert se.radical_p(group, p).mask == max(p_groups, key=int.bit_count)
             assert se.radical_p_prime(group, p).mask == max(p_prime, key=int.bit_count)
+
+
+def test_p_residual_is_the_span_of_p_prime_elements(lattice_rich_groups):
+    # O^p(G) is generated by the elements of order prime to p; 37 divides
+    # no order here, so O^37(G) = G
+    groups = se.builtin_corpus(120) + list(lattice_rich_groups.items())
+    for name, group in groups:
+        orders = group.element_orders
+        for p in (*prime_divisors(group.order), 37):
+            expected = se.span(group, np.flatnonzero(orders % p).tolist())
+            assert se.p_residual(group, p) == expected, (name, p)
+    with pytest.raises(ValueError, match="not prime"):
+        se.p_residual(groups[0][1], 4)
+
+
+def test_p_soluble_nodes_of_a_prime_not_dividing_the_order(by_name):
+    # every chief factor of S4 is a 5'-group; 4 is no prime
+    s4 = by_name["S4"]
+    assert p_soluble_nodes(s4, 5) == (True,) * len(se.normal_lattice(s4).nodes)
+    with pytest.raises(ValueError, match="not prime"):
+        p_soluble_nodes(s4, 4)
 
 
 def test_fitting_s4(by_name):

@@ -9,10 +9,12 @@ from conftest import (
     all_subgroups,
     brute_factor_centralizer_order,
     brute_partial_s_pi,
+    brute_s_permutable,
     brute_s_qn_embedded,
     brute_s_quasinormal_masks,
     product_cap,
     product_gen_cap,
+    random_p_subgroups,
     span_s_qn_embedded,
 )
 
@@ -289,15 +291,18 @@ def section_cases(corpus400, query_mix_groups):
 
 
 def test_section_order_matches_the_product(section_cases):
-    from subembed.embedding import _section_order
+    # the predicates read |(H∩L)K| as meet[l]·orders[k]//meet[k]
+    from subembed.embedding import _meets
     from subembed.subgroups import product_with_normal
 
     for name, group, subs in section_cases:
         lat = se.normal_lattice(group)
+        assert lat.orders == tuple(n.order for n in lat.nodes), name
         for h in subs:
+            meet = _meets(h, lat)
             for k, l in lat.covers:
                 x = product_with_normal(se.intersect(h, lat.nodes[l]), lat.nodes[k])
-                assert _section_order(h, lat, k, l) == x.order, (name, h.order, k, l)
+                assert meet[l] * lat.orders[k] // meet[k] == x.order, (name, h.order, k, l)
 
 
 def _as_triple(verdict):
@@ -477,13 +482,77 @@ def test_s_qn_embedded_matches_the_span_search(corpus400, query_mix_groups):
     assert len(answers) == 427 and answers.count(False) == 126
 
 
-def test_s_qn_embedded_is_exact_on_small_groups():
+@pytest.fixture(scope="module")
+def small_subgroup_sets():
+    """(name, group, masks of every subgroup, masks of the S-quasinormal
+    ones) for each group of order at most 24, all by brute force."""
+    out = []
+    for name, group in se.builtin_corpus(24):
+        subs = all_subgroups(group)
+        out.append((name, group, subs, brute_s_quasinormal_masks(group, subs)))
+    return out
+
+
+def test_s_quasinormal_is_exact_on_small_groups(small_subgroup_sets):
+    answers = []
+    for name, group, subs, quasinormal in small_subgroup_sets:
+        for mask in sorted(subs):
+            got = se.s_quasinormal(group, Subgroup(group, mask))
+            assert got == (mask in quasinormal), (name, mask.bit_count())
+            answers.append(got)
+    assert len(answers) == 444 and answers.count(False) == 177
+
+
+def test_s_quasinormal_matches_the_product_test(corpus400, query_mix_groups, group1875):
+    # p-subgroups are decided by O^p(G) normalizing H; the oracle compares
+    # HS with SH for every Sylow conjugate S. The pools, then 60 seeded
+    # p-subgroups per (group, p)
+    small = [(n, g) for n, g in corpus400 if g.order <= 120]
+    answers = {"pool": [], "random": []}
+    for name, group in [*small, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        cases = [("pool", h) for _, h in se.standard_pool(group)]
+        for p in prime_divisors(group.order):
+            cases += [("random", h) for h in random_p_subgroups(group, p, 60, f"{name}:{p}")]
+        for kind, h in cases:
+            got = se.s_quasinormal(group, h)
+            assert got == brute_s_permutable(group, h), (name, kind, h.order)
+            answers[kind].append(got)
+    counts = {kind: (len(got), got.count(False)) for kind, got in answers.items()}
+    assert counts == {"pool": (905, 510), "random": (7320, 2152)}
+
+
+def test_s_quasinormal_named_cases():
+    # O^2(D8xC3) = C3 centralizes the non-normal <(1 3)>; O^2(S4) = A4 does
+    # not normalize <(1 2)(3 4)>
+    d8c3 = se.build(se.Direct(se.Dihedral(8), se.Cyclic(3)))
+    h = se.span(d8c3, [idx(d8c3, "(1 3)")])
+    assert se.p_residual(d8c3, 2).order == 3
+    assert not h.is_normal() and se.s_quasinormal(d8c3, h)
+    s4 = se.build(se.Sym(4))
+    k = se.span(s4, [idx(s4, "(1 2)(3 4)")])
+    assert se.p_residual(s4, 2).order == 12
+    assert not k.is_normal() and not se.s_quasinormal(s4, k)
+
+
+def test_s_quasinormal_past_the_lattice_cap():
+    # O^2 of a 2-group is 1, so C2^7, with 29212 normal subgroups, needs no
+    # lattice; in C2^6xC3 (5650 normal subgroups) O^2 is a lattice read, and
+    # the cap is reported, not answered around
+    c2_7 = se.build(se.ElemAbelian(2, 7))
+    assert se.s_quasinormal(c2_7, se.span(c2_7, [1, 2]))
+    assert "lattice" not in c2_7.cache
+    c2_6c3 = se.build(se.Direct(se.ElemAbelian(2, 6), se.Cyclic(3)))
+    h = se.span(c2_6c3, [c2_6c3.gen_indices[0]])
+    assert h.order == 2
+    with pytest.raises(se.ResourceCapError):
+        se.s_quasinormal(c2_6c3, h)
+
+
+def test_s_qn_embedded_is_exact_on_small_groups(small_subgroup_sets):
     # brute force over every subgroup: for each prime q of |H| some
     # S-quasinormal W of G has H_q as a Sylow q-subgroup
     answers = []
-    for name, group in se.builtin_corpus(24):
-        subs = all_subgroups(group)
-        quasinormal = brute_s_quasinormal_masks(group, subs)
+    for name, group, subs, quasinormal in small_subgroup_sets:
         for mask in sorted(subs - {1}):
             h = Subgroup(group, mask)
             expected = brute_s_qn_embedded(h, subs, quasinormal)

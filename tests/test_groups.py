@@ -175,6 +175,30 @@ def test_closure_against_raw_composition():
         assert raw_closure(set(perms)) == set(perms)
 
 
+def test_cyclic_closure_is_the_power_walk():
+    # <g> from {1} is g, g^2, ... up to 1: element_order(g) members, the
+    # powers of g under tuple composition, and g the one generator kept
+    from subembed.groups import closure_indices, extend_closure
+
+    groups = [g for _, g in se.builtin_corpus(60)]
+    groups += [se.build(se.Sym(6)), se.build(se.Direct(se.SL23(), se.Sym(4)))]
+    for group in groups:
+        images = [group.perm(i).images for i in range(group.order)]
+        identity = images[0]
+        for g in range(group.order):
+            members = closure_indices(group, [g])
+            assert len(members) == group.element_order(g), (group.name, g)
+            powers, x = {identity}, images[g]
+            while x != identity:
+                powers.add(x)
+                x = raw_compose(x, images[g])
+            assert {images[i] for i in members} == powers, (group.name, g)
+            gens = []
+            member = extend_closure(group, np.arange(group.order) == 0, gens, [g])
+            assert gens == ([g] if g else []), (group.name, g)
+            assert (member.nonzero()[0] == members).all(), (group.name, g)
+
+
 def test_inverse_table():
     g = se.build(se.Sym(4))
     for i in range(g.order):
