@@ -15,6 +15,7 @@ chief-factor route on the corpus and the lattice-rich groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,6 +37,7 @@ from .subgroups import (
     p_part,
     prime_divisors,
     product_with_normal,
+    span,
 )
 
 
@@ -126,29 +128,15 @@ def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
 
 
 def p_residual(group: FiniteGroup, p: int) -> Subgroup:
-    """O^p(G): the least normal subgroup of p-power index, the least lattice
-    node whose index is a power of p, checked to lie in every such node (so
-    it is the unique one). It is generated by the p'-elements of G. Like
-    every lattice read, it raises :class:`ResourceCapError` past the
-    lattice's node cap, unless G is a p-group or p does not divide |G|."""
+    """O^p(G), the least normal subgroup of p-power index. It is generated
+    by the p'-elements of G, so it is their span, memoised per (group, p):
+    G itself when p does not divide |G|, 1 when G is a p-group. No lattice
+    is read, so no node cap applies."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if group.order % p:
-        return Subgroup.whole(group)
-    if p_part(group.order, p) == group.order:
-        return Subgroup.trivial(group)
-
-    def scan() -> Subgroup:
-        lat = normal_lattice(group)
-        passing = [
-            n for n, order in zip(lat.nodes, lat.orders) if is_pi_number(group.order // order, (p,))
-        ]
-        least = passing[0]  # nodes are sorted by order
-        if not all(least.is_subset_of(node) for node in passing):
-            raise InvariantError(f"no least normal subgroup of {p}-power index")
-        return least
-
-    return group.memo("radical", ("O^p", p), scan)
+    return group.memo(
+        "radical", ("O^p", p), lambda: span(group, np.flatnonzero(group.element_orders % p))
+    )
 
 
 def _largest_normal(group: FiniteGroup, key, passes) -> Subgroup:
@@ -221,30 +209,30 @@ def is_p_soluble(group: FiniteGroup, p: int) -> bool:
 
 
 def p_soluble_nodes(group: FiniteGroup, p: int) -> tuple[bool, ...]:
-    """Per lattice node, whether its G-chief factors are all p- or p'-groups;
-    by Jordan–Hölder one chain of covers up to the node decides it. One
-    pass over the covers fills the flags of every prime of |G| at once,
-    reading each factor order once."""
-    flags = group.memo("p_soluble", "flags", lambda: _p_soluble_flags(group))
-    if p in flags:
-        return flags[p]
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return (True,) * len(normal_lattice(group).nodes)  # p does not divide |G|
+    """Per lattice node, whether its G-chief factors are all p- or p'-groups."""
+    return group.memo(
+        "p_soluble", p, lambda: tuple(bad % p != 0 for bad in _p_insoluble_primes(group))
+    )
 
 
-def _p_soluble_flags(group: FiniteGroup) -> dict[int, tuple[bool, ...]]:
-    lat = normal_lattice(group)
-    primes, orders = primes_of_group(group), lat.orders
-    ok = {p: [True] + [False] * lat.top for p in primes}
-    for k, l in lat.covers:  # sorted by k, and k < l
-        q = orders[l] // orders[k]
-        # a factor of prime-power order passes for every p, any other fails
-        # for the primes that divide it
-        prime_power = any(p_part(q, p) == q for p in primes)
-        for p in primes:
-            ok[p][l] |= ok[p][k] and (prime_power or q % p != 0)
-    return {p: tuple(flags) for p, flags in ok.items()}
+def _p_insoluble_primes(group: FiniteGroup) -> tuple[int, ...]:
+    """Per lattice node, the product of the primes p for which some chief
+    factor below it is neither a p- nor a p'-group (a small int, so the
+    table costs no allocation per node). By Jordan–Hölder one chain of
+    covers up to a node decides it, so one pass over the covers serves
+    every prime, reading each factor order once."""
+
+    def scan() -> tuple[int, ...]:
+        lat, primes = normal_lattice(group), primes_of_group(group)
+        bad = [1] + [0] * lat.top
+        for k, l in lat.covers:  # sorted by k, and k < l
+            if not bad[l]:
+                q = lat.nodes[l].order // lat.nodes[k].order
+                fails = (p for p in primes if q % p == 0 and p_part(q, p) != q)
+                bad[l] = math.lcm(bad[k], *fails)
+        return tuple(bad)
+
+    return group.memo("p_soluble", "insoluble primes", scan)
 
 
 def is_supersoluble(group: FiniteGroup) -> bool:

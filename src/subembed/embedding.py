@@ -11,9 +11,8 @@ factor works" (``cap``, ``gen_cap``) scans the cover pairs and reports the
 first one that fails.
 
 Every per-factor test reads the section X = (H∩L)K off its order first.
-Since (H∩L)∩K = H∩K, |X| = |H∩L|·|K|/|H∩K|. The evaluator counts |H ∩ N|
-once per lattice node N, on a memo miss, and hands each test |X| read from
-those counts and the lattice's ``orders``.
+Since (H∩L)∩K = H∩K, |X| = |H∩L|·|K|/|H∩K| comes from two mask popcounts
+and the order of K, which a Subgroup counts once and keeps.
 K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup strictly
 between them that is not normal. X = K means H∩L ≤ K (the factor is
 avoided); X = K or X = L means X is normal, with normalizer index 1. On a
@@ -85,10 +84,11 @@ def _section_subgroup(h: Subgroup, lat: NormalLattice, k: int, l: int) -> Subgro
     return product_with_normal(inter, lat.nodes[k])
 
 
-def _meets(h: Subgroup, lat: NormalLattice) -> list[int]:
-    """|H ∩ N| for every node N. A predicate reads the order of a section
-    as |(H∩L)K| = meet[l]·orders[k]//meet[k], since (H∩L)∩K = H∩K."""
-    return [(h.mask & n.mask).bit_count() for n in lat.nodes]
+def _section_order(h: Subgroup, lat: NormalLattice, k: int, l: int) -> int:
+    """|(H ∩ L)K| = |H∩L|·|K|/|H∩K|, since (H∩L)∩K = H∩K for K <= L."""
+    low, high = lat.nodes[k], lat.nodes[l]
+    meet_low = (h.mask & low.mask).bit_count()
+    return (h.mask & high.mask).bit_count() * low.order // meet_low
 
 
 def factor_centralizer_index(group: FiniteGroup, lat: NormalLattice, k: int, l: int) -> int:
@@ -134,7 +134,7 @@ def _section_index_is_pi(group, h, lat, k: int, l: int, order: int, pi) -> bool:
     |G : C_G(L/K)| (see the module docstring); only when that bound does not
     decide is X built and its normalizer scanned. N_{G/K}(X/K) = N_G(X)/K
     since K <= X is normal, so the index upstairs equals the index in G."""
-    if order in (lat.orders[k], lat.orders[l]):
+    if order in (lat.nodes[k].order, lat.nodes[l].order):
         return True
     decided = _decided_by_centralizer(group, lat, k, l, pi)
     if decided is not None:
@@ -143,22 +143,18 @@ def _section_index_is_pi(group, h, lat, k: int, l: int, order: int, pi) -> bool:
     return is_pi_number(group.order // normalizer(group, x).order, pi)
 
 
-def _some_chief_series(group: FiniteGroup, h: Subgroup, edge_ok) -> Verdict:
-    """Some chief series passes ``edge_ok(lat, k, l, order)`` on every
-    factor, where ``order`` is |(H∩L)K|: a reachability search from the
-    trivial node to the top along passing cover pairs, returning the first
-    path found as the witness."""
+def _some_chief_series(group: FiniteGroup, edge_ok) -> Verdict:
+    """Some chief series passes ``edge_ok(lat, k, l)`` on every factor: a
+    reachability search from the trivial node to the top along passing
+    cover pairs, returning the first path found as the witness."""
     lat = normal_lattice(group)
-    meet, orders = _meets(h, lat), lat.orders
     parent = {0: None}
     frontier = [0]
     while frontier:
         nxt = []
         for node in frontier:
             for upper in lat.up[node]:
-                if upper in parent:
-                    continue
-                if not edge_ok(lat, node, upper, meet[upper] * orders[node] // meet[node]):
+                if upper in parent or not edge_ok(lat, node, upper):
                     continue
                 parent[upper] = node
                 if upper == lat.top:
@@ -173,14 +169,12 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, edge_ok) -> Verdict:
     return Verdict(False)
 
 
-def _every_chief_factor(group: FiniteGroup, h: Subgroup, refute) -> Verdict:
-    """Every chief factor passes: ``refute(lat, k, l, order)``, where
-    ``order`` is |(H∩L)K|, returns None for a passing cover pair, else the
-    reason the first failing one fails."""
+def _every_chief_factor(group: FiniteGroup, refute) -> Verdict:
+    """Every chief factor passes: ``refute(lat, k, l)`` returns None for a
+    passing cover pair, else the reason the first failing one fails."""
     lat = normal_lattice(group)
-    meet, orders = _meets(h, lat), lat.orders
     for k, l in lat.covers:
-        reason = refute(lat, k, l, meet[l] * orders[k] // meet[k])
+        reason = refute(lat, k, l)
         if reason is not None:
             return Verdict(False, refutation=Refutation(k, l, reason))
     return Verdict(True)
@@ -198,14 +192,15 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     if p_part(h.order, p) != h.order:
         raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
 
-    def edge_ok(lat: NormalLattice, k: int, l: int, order: int) -> bool:
-        low = lat.orders[k]
-        if order // low == p_part(lat.orders[l] // low, p):
+    def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
+        low = lat.nodes[k].order
+        order = _section_order(h, lat, k, l)
+        if order // low == p_part(lat.nodes[l].order // low, p):
             return True  # X/K is a p-group, so full p-part means Sylow
         return _section_index_is_pi(group, h, lat, k, l, order, (p,))
 
     return group.memo(
-        "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, h, edge_ok)
+        "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, edge_ok)
     )
 
 
@@ -215,11 +210,12 @@ def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     an avoided factor forces X = K, normal of index 1."""
     require_own_subgroup(group, h)
 
-    def edge_ok(lat: NormalLattice, k: int, l: int, order: int) -> bool:
-        pi = prime_divisors(order // lat.orders[k])
+    def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
+        order = _section_order(h, lat, k, l)
+        pi = prime_divisors(order // lat.nodes[k].order)
         return _section_index_is_pi(group, h, lat, k, l, order, pi)
 
-    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, h, edge_ok))
+    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, edge_ok))
 
 
 def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -231,14 +227,15 @@ def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     """
     require_own_subgroup(group, h)
 
-    def refute(lat: NormalLattice, k: int, l: int, order: int) -> str | None:
-        if order == lat.orders[k]:
+    def refute(lat: NormalLattice, k: int, l: int) -> str | None:
+        order = _section_order(h, lat, k, l)
+        if order == lat.nodes[k].order:
             return None  # avoided
-        if order == lat.orders[l]:
+        if order == lat.nodes[l].order:
             return None  # covered
         return "neither covers nor avoids"
 
-    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, h, refute))
+    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, refute))
 
 
 def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -254,8 +251,9 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     """
     require_own_subgroup(group, h)
 
-    def refute(lat: NormalLattice, k: int, l: int, order: int) -> str | None:
-        low, high = lat.orders[k], lat.orders[l]
+    def refute(lat: NormalLattice, k: int, l: int) -> str | None:
+        low, high = lat.nodes[k].order, lat.nodes[l].order
+        order = _section_order(h, lat, k, l)
         if order == low:
             return None  # avoided
         factor_primes = prime_divisors(high // low)
@@ -270,7 +268,7 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
             return f"|L : (H∩L)K| is divisible by {bad[0]}"
         return None
 
-    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, h, refute))
+    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, refute))
 
 
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
@@ -279,10 +277,10 @@ def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
 
     A p-subgroup H ≠ 1 is S-quasinormal iff O^p(G) ≤ N_G(H) (Schmid,
     *J. Algebra* 207, 1998, Lemma A), so it is decided by conjugating H by
-    the generators of O^p(G) (``classify.p_residual``), which reads the
-    normal lattice unless G is a p-group. The trivial subgroup and
-    subgroups of mixed order are compared with every Sylow conjugate S:
-    HS = SH as product sets."""
+    the generators of O^p(G) (``classify.p_residual``, the span of the
+    p'-elements; no lattice is read). The trivial subgroup and subgroups of
+    mixed order are compared with every Sylow conjugate S: HS = SH as
+    product sets."""
     require_own_subgroup(group, h)
 
     def permutes() -> bool:

@@ -32,13 +32,10 @@ class NormalLattice:
     nodes are sorted by (order, member indices) so ids are reproducible.
     A cover pair (k, l) means nodes[k] < nodes[l] with nothing normal
     strictly between, i.e. nodes[l]/nodes[k] is a chief factor.
-    ``orders[k]`` is ``nodes[k].order``, counted once when the lattice is
-    built, so that per-cover order tests read a tuple, not a popcount.
     """
 
     group: FiniteGroup
     nodes: tuple[Subgroup, ...]
-    orders: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
     up: dict[int, tuple[int, ...]] = field(repr=False)
     node_by_mask: dict[int, int] = field(repr=False)
@@ -137,10 +134,7 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
         up[k] = tuple(got)
     covers = tuple((k, l) for k in up for l in up[k])
     nodes = tuple(subs[i] for i in rank)
-    orders = tuple(masks[i].bit_count() for i in rank)
-    return NormalLattice(
-        group, nodes, orders, covers, up, {s.mask: k for k, s in enumerate(nodes)}
-    )
+    return NormalLattice(group, nodes, covers, up, {s.mask: k for k, s in enumerate(nodes)})
 
 
 def _sort_key(mask: int, width: int) -> tuple[int, int]:
@@ -185,8 +179,10 @@ class ChiefSeries:
 
 
 def _series_along(lat: NormalLattice, chain: tuple[int, ...]) -> ChiefSeries:
-    orders = lat.orders
-    return ChiefSeries(chain, tuple(orders[b] // orders[a] for a, b in zip(chain, chain[1:])))
+    return ChiefSeries(
+        chain,
+        tuple(lat.nodes[b].order // lat.nodes[a].order for a, b in zip(chain, chain[1:])),
+    )
 
 
 def chief_series_enumerate(group: FiniteGroup, limit: int) -> list[ChiefSeries]:

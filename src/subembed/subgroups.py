@@ -44,14 +44,16 @@ class Subgroup:
     """A subgroup of ``group``, stored as a bitmask over element indices.
 
     Word-parallel mask arithmetic makes intersections, containment tests and
-    equality O(|G|/w). Instances are immutable and hashable.
+    equality O(|G|/w). Instances are immutable and hashable. ``order`` is
+    the mask's popcount, counted once when the instance is made.
     """
 
-    __slots__ = ("group", "mask", "__dict__")
+    __slots__ = ("group", "mask", "order", "__dict__")
 
     def __init__(self, group: FiniteGroup, mask: int):
         self.group = group
         self.mask = mask
+        self.order = mask.bit_count()
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices) -> "Subgroup":
@@ -77,10 +79,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.group!r}>"
-
-    @property
-    def order(self) -> int:
-        return self.mask.bit_count()
 
     @cached_property
     def indices(self) -> tuple[int, ...]:
