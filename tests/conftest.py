@@ -117,6 +117,41 @@ def raw_closure(perms: set[tuple]) -> set[tuple]:
         out |= new
 
 
+def reference_generate_group(gens, degree, cap=se.groups.DEFAULT_ORDER_CAP):
+    """The per-row breadth-first builder that ``generate_group`` replaced:
+    every new row is kept on its own, as a view of its product block, and
+    keyed on its int32 bytes. ``generate_group`` must give the same rows,
+    breadth-first edges, generator indices and generator columns, and the
+    same ``ResourceCapError.reached``."""
+    gens = list(gens)
+    gen_rows = [np.asarray([i - 1 for i in g.images], dtype=np.int32) for g in gens]
+    identity = np.arange(degree, dtype=np.int32)
+    rows = [identity]
+    index = {identity.tobytes(): 0}
+    edges = [(-1, -1)]
+    columns = [[] for _ in gen_rows]
+    frontier = [0]
+    while frontier:
+        frontier_rows = np.stack([rows[i] for i in frontier])
+        next_frontier = []
+        for gpos, grow in enumerate(gen_rows):
+            for t, row in enumerate(grow[frontier_rows]):
+                key = row.tobytes()
+                got = index.get(key)
+                if got is None:
+                    if len(rows) >= cap:
+                        raise se.ResourceCapError("group order exceeds cap", len(rows))
+                    got = index[key] = len(rows)
+                    edges.append((frontier[t], gpos))
+                    next_frontier.append(got)
+                    rows.append(row)
+                columns[gpos].append(got)
+        frontier = next_frontier
+    gen_indices = [column[0] for column in columns]
+    columns = np.array(columns, dtype=np.min_scalar_type(len(rows) - 1))
+    return se.FiniteGroup(degree, np.stack(rows), gen_indices, gens, edges, columns)
+
+
 def row_lookup(group):
     """A map from image rows of ``group`` to element indices, made from the
     rows alone. Each row is keyed by its dot product with fixed random

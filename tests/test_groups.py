@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 
 import subembed as se
 from subembed import ResourceCapError, generate_group, parse_cycles
+from subembed.catalog import EXAMPLE_1875_EXPR
 from subembed.groups import orbit_labels
 
-from conftest import raw_closure, raw_compose, raw_inverse
+from conftest import raw_closure, raw_compose, raw_inverse, reference_generate_group
 
 
 def test_s3_from_standard_generators():
@@ -199,11 +201,30 @@ def test_cyclic_closure_is_the_power_walk():
             assert (member.nonzero()[0] == members).all(), (group.name, g)
 
 
-def test_inverse_table():
-    g = se.build(se.Sym(4))
-    for i in range(g.order):
-        assert g.mult(i, g.inverse(i)) == 0
-        assert g.mult(g.inverse(i), i) == 0
+def test_closure_keeps_index_two_subgroups():
+    # a closure becomes all of G only past |G|/2 elements; at exactly half
+    # it must not: A6 in S6, and an index-2 subgroup of C2^4
+    from subembed.groups import closure_indices
+
+    s6 = se.build(se.Sym(6))
+    even = [i for i in range(s6.order) if sum(len(c) - 1 for c in s6.perm(i).cycles()) % 2 == 0]
+    a6 = closure_indices(s6, even)
+    assert len(a6) == 360 and a6.tolist() == even
+    three, five = (s6.index_of(parse_cycles(t, 6)) for t in ("(1 2 3)", "(2 3 4 5 6)"))
+    assert closure_indices(s6, [three, five]).tolist() == even
+    assert se.span(s6, even).order == 360
+    c2_4 = se.build(se.ElemAbelian(2, 4))
+    assert len(closure_indices(c2_4, c2_4.gen_indices[:3])) == 8
+    assert len(closure_indices(c2_4, c2_4.gen_indices)) == 16
+
+
+def test_inverse_table(corpus400, group1875):
+    groups = [se.build(se.Sym(4)), group1875] + [g for _, g in corpus400]
+    for g in groups:
+        i = np.arange(g.order)
+        assert (g.table[i, g.inv] == 0).all() and (g.table[g.inv, i] == 0).all(), g.name
+    s4 = groups[0]
+    assert all(s4.mult(s4.inverse(i), i) == 0 for i in range(s4.order))
 
 
 def test_generation_is_deterministic():
@@ -229,13 +250,21 @@ def _assert_table_rows(group, row_indices):
         assert group.table[i].tolist() == expected
 
 
+def _degenerate_generator_lists():
+    """(generators, degree) pairs whose generator columns land on the same
+    table column or on column 0, of degree 1, or empty."""
+    identity, cycle, swap = (parse_cycles(t, 4) for t in ("()", "(1 2 3 4)", "(1 2)"))
+    return [
+        ([cycle, identity, swap], 4),
+        ([swap, cycle, swap, cycle], 4),
+        ([se.Permutation((1,))], 1),
+        ([], 4),
+    ]
+
+
 def test_table_matches_row_composition():
     groups = [g for _, g in se.builtin_corpus(48)] + [se.build(se.Sym(6))]
-    # generator columns that land on the same table column, or on column 0
-    identity, cycle, swap = (parse_cycles(t, 4) for t in ("()", "(1 2 3 4)", "(1 2)"))
-    groups.append(generate_group([cycle, identity, swap], 4))
-    groups.append(generate_group([swap, cycle, swap, cycle], 4))
-    groups.append(generate_group([se.Permutation((1,))], 1))
+    groups += [generate_group(gens, degree) for gens, degree in _degenerate_generator_lists()]
     for group in groups:
         _assert_table_rows(group, range(group.order))
 
@@ -243,6 +272,65 @@ def test_table_matches_row_composition():
 def test_table_matches_row_composition_1875(group1875):
     rng = np.random.default_rng(0)
     _assert_table_rows(group1875, rng.choice(group1875.order, 12, replace=False))
+
+
+def test_builder_matches_the_per_row_reference(
+    corpus400, group1875, query_mix_groups, lattice_rich_groups
+):
+    groups = [g for _, g in corpus400] + [group1875] + [g for _, g in query_mix_groups]
+    groups += list(lattice_rich_groups.values())
+    cases = [(g.generators, g.degree) for g in groups] + _degenerate_generator_lists()
+    for gens, degree in cases:
+        group, reference = generate_group(gens, degree), reference_generate_group(gens, degree)
+        assert group.rows.dtype == np.int32 and group.rows.flags.c_contiguous
+        assert np.array_equal(group.rows, reference.rows), group
+        assert group.bfs_edges == reference.bfs_edges, group
+        assert group.gen_indices == reference.gen_indices, group
+        assert group._gen_columns.dtype == reference._gen_columns.dtype, group
+        assert np.array_equal(group._gen_columns, reference._gen_columns), group
+
+
+def test_builder_cap_matches_the_per_row_reference(corpus400, query_mix_groups):
+    groups = [g for _, g in corpus400 + query_mix_groups if g.order > 1]
+    for group in groups:
+        gens, degree, order = group.generators, group.degree, group.order
+        reached = []
+        for build in (generate_group, reference_generate_group):
+            with pytest.raises(ResourceCapError) as exc:
+                build(gens, degree, cap=order - 1)
+            reached.append(exc.value.reached)
+        assert reached == [order - 1, order - 1], group
+        assert generate_group(gens, degree, cap=order).order == order
+
+
+def _traced_peak(build):
+    """The tracemalloc peak of ``build()`` over what was allocated before
+    it, and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_building_the_1875_group_peaks_near_its_rows():
+    # each layer's new rows are copied out of their product block, and the
+    # row keys go before the layers are joined; a builder that keeps every
+    # row as a view of its product block peaks at 6.6x
+    peak, group = _traced_peak(lambda: se.build(EXAMPLE_1875_EXPR))
+    assert group.order == 1875
+    assert peak <= 3 * group.rows.nbytes, peak / group.rows.nbytes
+
+
+def test_first_table_and_inverse_read_peaks_near_the_table():
+    # argmin down the Fortran-ordered table's columns makes no copy of it;
+    # argmin along its rows copies it, a 2.0x peak
+    group = se.build(EXAMPLE_1875_EXPR)
+    peak, table = _traced_peak(lambda: (group.table, group.inv)[0])
+    assert peak <= 1.1 * table.nbytes, peak / table.nbytes
 
 
 def test_table_is_built_lazily():
