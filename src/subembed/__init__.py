@@ -76,9 +76,6 @@ from .normal import (
     NormalLattice,
     QuotientMap,
     chief_series_enumerate,
-    is_chief_factor,
-    minimal_normals,
-    normal_closure,
     normal_lattice,
     quotient,
     subgroup_as_group,
@@ -89,7 +86,6 @@ from .subgroups import (
     center,
     centralizer,
     cyclic_subgroups_of_order,
-    derived_subgroup,
     exponent,
     frattini_p,
     intersect,
@@ -99,6 +95,5 @@ from .subgroups import (
     omega,
     p_group_maximal_subgroups,
     p_part,
-    product,
     span,
 )

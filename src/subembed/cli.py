@@ -76,14 +76,17 @@ def _witness_text(group, verdict: Verdict) -> str:
 
 
 def _cmd_check(args) -> int:
+    prop = args.property
+    if prop == "partial-s-pi" and args.prime is None:
+        print("error: --prime is required for partial-s-pi", file=sys.stderr)
+        return 2
+    if prop != "partial-s-pi" and args.prime is not None:
+        print(f"error: --prime applies only to partial-s-pi, not {prop}", file=sys.stderr)
+        return 2
     group = _load_group(args.group)
     sub = _parse_subgroup(group, args.subgroup)
-    prop = args.property
     result: dict = {"group": group.name, "order": group.order, "subgroup_order": sub.order, "property": prop}
     if prop == "partial-s-pi":
-        if args.prime is None:
-            print("error: --prime is required for partial-s-pi", file=sys.stderr)
-            return 2
         verdict = partial_s_pi(group, sub, args.prime)
         result["prime"] = args.prime
     elif prop == "partial-pi":
@@ -167,7 +170,6 @@ def _cmd_verify(args) -> int:
     report = run_corpus(
         theorem_ids,
         max_order=args.max_order,
-        jobs=args.jobs,
         out_path=args.out,
         include_example_1875=args.include_example_1875,
     )
@@ -224,7 +226,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--theorem", default="all")
     p_verify.add_argument("--max-order", type=int, default=120)
     p_verify.add_argument("--include-example-1875", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--out", required=True)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -20,8 +20,10 @@ under tracemalloc.
 Products are read from a Cayley table of element indices, built on the
 first multiplication. The closure already finds x*g for every element x and
 generator g, so it hands those generator columns to the group, and the
-table fills its other columns along the breadth-first tree. The one other
-map from image rows to indices is :meth:`FiniteGroup.lookup_rows`, a dict
+table fills its other columns along the breadth-first tree.
+:meth:`FiniteGroup.index_of` finds a permutation's index by comparing its
+image row with every row of ``rows`` and keeps nothing.
+:meth:`FiniteGroup.lookup_rows`, which maps many rows at once, keeps a dict
 keyed on row bytes, built on its first call.
 
 Every element closure goes through :func:`extend_closure`, which grows a
@@ -55,8 +57,7 @@ class FiniteGroup:
     """A finite permutation group with a full element table.
 
     Construct through :func:`generate_group`. Instances are immutable after
-    construction; the lazily filled caches are idempotent, so sharing a group
-    between threads is safe.
+    construction, apart from the caches they fill lazily.
 
     The Cayley table (:attr:`table`) holds order² entries in the smallest
     unsigned dtype that fits an index: one byte each up to order 256, two up
@@ -68,9 +69,6 @@ class FiniteGroup:
     the table, so the first read of ``table`` and ``inv`` together peaks at
     the table's own size. The other lazy caches are the element orders,
     conjugacy classes and the row index behind :meth:`lookup_rows`.
-    Under ``jobs > 1`` two threads may both fill a cache on first use; each
-    computes a private value from the same rows and then stores it, so
-    either result is the same.
 
     ``rows`` is one C-contiguous int32 array, joined from the breadth-first
     layer blocks of :func:`generate_group`, which are gone once the group is
@@ -102,17 +100,16 @@ class FiniteGroup:
         """The value stored under ``key`` in ``cache[section]``, filled by
         ``compute()`` on a miss.
 
-        Every per-group cache goes through here. Values are never None, and
-        fills are idempotent: if two threads race, the first stored value is
-        kept and both return it. Callers validate their inputs first, since
-        a hit skips ``compute``. Add a section only where its hits pay: a
-        value asked for about once per key, or about as cheap to recompute
-        as to look up, is computed directly.
+        Every per-group cache goes through here. Values are never None.
+        Callers validate their inputs first, since a hit skips ``compute``.
+        Add a section only where its hits pay: a value asked for about once
+        per key, or about as cheap to recompute as to look up, is computed
+        directly.
         """
         table = self.cache.setdefault(section, {})
         got = table.get(key)
         if got is None:
-            got = table.setdefault(key, compute())
+            got = table[key] = compute()
         return got
 
     # -- element access -------------------------------------------------
@@ -124,10 +121,10 @@ class FiniteGroup:
         if perm.degree != self.degree:
             raise ValueError("degree mismatch")
         row = np.asarray([i - 1 for i in perm.images], dtype=np.int32)
-        try:
-            return int(self.lookup_rows(row[None, :])[0])
-        except KeyError:
-            raise KeyError(f"permutation {perm} is not an element of this group") from None
+        found = np.flatnonzero((self.rows == row).all(axis=1))
+        if not len(found):
+            raise KeyError(f"permutation {perm} is not an element of this group")
+        return int(found[0])
 
     def lookup_rows(self, rows2d: np.ndarray) -> np.ndarray:
         """Map image rows back to element indices.

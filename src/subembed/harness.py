@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
@@ -410,15 +409,6 @@ def resolve_theorem_ids(selector: str) -> list[str]:
     return [selector]
 
 
-def _run_group(args):
-    name, group, theorem_ids, cap = args
-    results = {}
-    for tid in theorem_ids:
-        insts, truncated = instances(tid, group, cap)
-        results[tid] = ([check_instance(i, group) for i in insts], truncated)
-    return name, results
-
-
 def run_corpus(
     theorem_ids,
     max_order: int,
@@ -429,26 +419,25 @@ def run_corpus(
 ) -> RunReport:
     """Run the registered theorems over the built-in corpus and aggregate.
 
-    The report is deterministic apart from ``timing_ms``; worker threads only
-    parallelize across groups and aggregation follows corpus order.
+    The groups run one after another in corpus order, in one thread, and
+    each theorem's summary takes its instances in that order, so the report
+    is deterministic apart from ``timing_ms``. ``jobs`` accepts only 1 and
+    raises ``ValueError`` for anything else; the benchmark revision of
+    ROADMAP item 8, whose ``verify-1875`` workload still passes ``jobs=1``,
+    removes it.
     """
+    if jobs != 1:
+        raise ValueError(f"run_corpus runs in one thread; jobs must be 1, got {jobs!r}")
     start = time.perf_counter()
     corpus = builtin_corpus(max_order, include_example_1875=include_example_1875)
-    tasks = [(name, group, theorem_ids, instance_cap) for name, group in corpus]
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            by_name = dict(pool.map(_run_group, tasks))
-    else:
-        by_name = dict(map(_run_group, tasks))
-
-    summaries = []
-    for tid in theorem_ids:
-        summary = TheoremSummary(id=tid)
-        for name, _ in corpus:
-            insts, truncated = by_name[name][tid]
+    summaries = [TheoremSummary(id=tid) for tid in theorem_ids]
+    for _, group in corpus:
+        for summary in summaries:
+            insts, truncated = instances(summary.id, group, instance_cap)
             summary.instances += len(insts)
             summary.truncated_groups += int(truncated)
             for inst in insts:
+                check_instance(inst, group)
                 if inst.verdict == "vacuous":
                     summary.vacuous += 1
                 elif inst.verdict == "confirmed":
@@ -458,7 +447,6 @@ def run_corpus(
                 else:
                     summary.counterexamples += 1
                     summary.counterexample_bindings.append(inst.to_dict())
-        summaries.append(summary)
 
     report = RunReport(
         tool_version=__version__,

@@ -11,17 +11,12 @@ import numpy as np
 from .errors import InvariantError, ResourceCapError
 from .groups import FiniteGroup, generate_group, orbit_labels
 from .perms import Permutation
-from .subgroups import Subgroup, indices_from_mask, normal_closure_in, product_mask, span
+from .subgroups import Subgroup, indices_from_mask, product_mask, span
 
 DEFAULT_NODE_CAP = 4096
 # rows per block when containment bitsets are renumbered: 64 rows of a
 # cap-sized lattice are 256 KB of unpacked bits
 _RENUMBER_ROWS = 64
-
-
-def normal_closure(group: FiniteGroup, seed) -> Subgroup:
-    """Smallest normal subgroup of ``group`` containing the seed indices."""
-    return normal_closure_in(group, group.gen_indices, seed)
 
 
 @dataclass(frozen=True)
@@ -162,14 +157,6 @@ def _renumbered(sup: list[int], rank: list[int]) -> list[int]:
     return out
 
 
-def minimal_normals(group: FiniteGroup) -> list[Subgroup]:
-    """Atoms of the normal lattice."""
-    if group.order == 1:
-        raise ValueError("the trivial group has no minimal normal subgroups")
-    lat = normal_lattice(group)
-    return [lat.nodes[j] for j in lat.up[0]]
-
-
 @dataclass(frozen=True)
 class ChiefSeries:
     """A maximal chain in the normal lattice from the trivial node to the top."""
@@ -214,15 +201,6 @@ def a_chief_series(group: FiniteGroup) -> ChiefSeries:
     while path[-1] != lat.top:
         path.append(lat.up[path[-1]][0])
     return _series_along(lat, tuple(path))
-
-
-def is_chief_factor(group: FiniteGroup, lower: Subgroup, upper: Subgroup) -> bool:
-    lat = normal_lattice(group)
-    k = lat.node_id(lower)
-    l = lat.node_id(upper)
-    if not lower.is_subset_of(upper):
-        raise ValueError("subgroups are not nested")
-    return l in lat.up[k]
 
 
 @dataclass(frozen=True)

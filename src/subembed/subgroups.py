@@ -165,16 +165,6 @@ def product_mask(a: Subgroup, b: Subgroup) -> int:
     return out
 
 
-def product(a: Subgroup, b: Subgroup) -> tuple[frozenset[int], bool]:
-    """The set {xy} together with a flag telling whether it is a subgroup.
-
-    The flag is computed as AB == BA, which is equivalent to closure.
-    """
-    ab = product_mask(a, b)
-    ba = product_mask(b, a)
-    return frozenset(indices_from_mask(ab)), ab == ba
-
-
 def product_with_normal(a: Subgroup, n: Subgroup) -> Subgroup:
     """The subgroup a*n for n normal in the join (no closure check needed)."""
     return Subgroup(a.group, product_mask(a, n))
@@ -228,12 +218,8 @@ def normal_closure_in(group: FiniteGroup, ambient_gens, seed) -> Subgroup:
     return Subgroup(group, mask_from_bool(member))
 
 
-def derived_subgroup(group: FiniteGroup) -> Subgroup:
-    """[G,G]: the normal closure of the commutators of generator pairs."""
-    return derived_of_subgroup(Subgroup.whole(group))
-
-
 def derived_of_subgroup(h: Subgroup) -> Subgroup:
+    """[H,H]: the normal closure in H of the commutators of H's generators."""
     comms = h.group.commutators(h.gens, h.gens)
     return normal_closure_in(h.group, h.gens, comms.ravel())
 

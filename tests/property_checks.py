@@ -14,6 +14,7 @@ from subembed.harness import maximal_subgroup_pool, standard_pool
 from subembed.normal import subgroup_as_group
 from subembed.subgroups import (
     Subgroup,
+    derived_of_subgroup,
     exponent,
     is_abelian_subgroup,
     p_part,
@@ -139,7 +140,7 @@ def derived_p_nilpotency_violations(group):
     for p in prime_divisors(group.order):
         if not is_p_supersoluble(group, p):
             continue
-        derived = se.derived_subgroup(group)
+        derived = derived_of_subgroup(Subgroup.whole(group))
         child, _, _ = subgroup_as_group(derived)
         if not is_p_nilpotent(child, p):
             out.append((group.name, p, "derived not p-nilpotent"))

@@ -1,4 +1,6 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,21 @@ from subembed.catalog import (
     parse_group_file,
 )
 from subembed.subgroups import Subgroup, exponent
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_group_files_parse_and_build():
+    # the group-file format is line-oriented, so an example wrapped over two
+    # lines is one that a user cannot copy
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    orders = {}
+    for block in blocks:
+        if block.startswith("group "):
+            name, expr = parse_group_file(block)
+            orders[name] = build(expr).order
+    assert orders == {"S3": 6, "G1875": 1875}
 
 
 def test_direct_product_c2_c3():

@@ -62,6 +62,20 @@ def test_check_requires_prime_for_partial_s_pi(a5_file, capsys):
     assert code == 2
 
 
+def test_check_rejects_prime_for_other_properties(a5_file, capsys):
+    code = main(
+        [
+            "check",
+            "--group", a5_file,
+            "--subgroup", "(1 2 3 4 5)",
+            "--property", "partial-pi",
+            "--prime", "7",
+        ]
+    )
+    assert code == 2
+    assert "--prime applies only to partial-s-pi" in capsys.readouterr().err
+
+
 def test_check_rejects_subgroup_not_in_group(a5_file):
     code = main(
         [

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -333,6 +332,17 @@ def test_first_table_and_inverse_read_peaks_near_the_table():
     assert peak <= 1.1 * table.nbytes, peak / table.nbytes
 
 
+def test_index_of_keeps_no_row_index():
+    # a dict keyed on the row bytes of the 1875 group holds 4.6 MB, about
+    # the rows' own size; the direct compare holds one boolean per entry
+    group = se.build(EXAMPLE_1875_EXPR)
+    last = group.perm(group.order - 1)
+    peak, index = _traced_peak(lambda: group.index_of(last))
+    assert index == group.order - 1
+    assert group._row_index is None
+    assert peak <= 0.3 * group.rows.nbytes, peak / group.rows.nbytes
+
+
 def test_table_is_built_lazily():
     gens = [parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(1 2 3)", 5)]
     group = generate_group(gens, 5)
@@ -387,6 +397,18 @@ def test_lookup_rows_rejects_rows_outside_the_group():
             a5.lookup_rows(odd[None, :])
 
 
+def test_import_does_not_load_concurrent_futures():
+    # the corpus runs in one thread, so nothing needs the executor machinery
+    code = (
+        "import sys\n"
+        "import subembed\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
 def test_engine_does_not_import_numpy_ma():
     # numpy.ma costs about 1.6 MB of peak memory when first imported
     code = (
@@ -400,27 +422,3 @@ def test_engine_does_not_import_numpy_ma():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
-
-
-def test_concurrent_first_build_gives_one_table():
-    gens = [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)]
-    reference = generate_group(gens, 5).table
-    group = generate_group(gens, 5)
-    seen = []
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=lambda: seen.append(group.table.copy()))
-            for _ in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert len(seen) == 6
-    for table in seen + [group.table]:
-        assert np.array_equal(table, reference)

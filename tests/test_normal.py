@@ -24,15 +24,16 @@ def idx(group, text):
 
 def test_normal_closure_examples(by_name):
     s3 = by_name["S3"]
-    assert se.normal_closure(s3, [idx(s3, "(1 2 3)")]).order == 3
-    assert se.normal_closure(s3, [idx(s3, "(1 2)")]).order == 6
-    assert se.normal_closure(s3, [0]).order == 1
+    gens = s3.gen_indices
+    assert normal_closure_in(s3, gens, [idx(s3, "(1 2 3)")]).order == 3
+    assert normal_closure_in(s3, gens, [idx(s3, "(1 2)")]).order == 6
+    assert normal_closure_in(s3, gens, [0]).order == 1
 
 
 def test_closures_reject_out_of_range_indices(by_name):
     s4 = by_name["S4"]
     with pytest.raises(ValueError, match="out of range"):
-        se.normal_closure(s4, [-1])
+        normal_closure_in(s4, s4.gen_indices, [-1])
     with pytest.raises(ValueError, match="out of range"):
         se.span(s4, [24])
     with pytest.raises(ValueError, match="out of range"):
@@ -85,7 +86,8 @@ def test_class_closures_are_normal_closures(corpus400, query_mix_groups):
         nodes = {node.mask for node in se.normal_lattice(group).nodes}
         for cls in group.conjugacy_classes():
             got = se.span(group, cls)
-            assert got == se.normal_closure(group, [int(cls[0])]), (name, int(cls[0]))
+            closure = normal_closure_in(group, group.gen_indices, [int(cls[0])])
+            assert got == closure, (name, int(cls[0]))
             assert got.mask in nodes, name
             closures += 1
     assert closures == 1134  # 912 classes in the corpus, 222 in the query-mix groups
@@ -198,20 +200,15 @@ def test_sort_key_orders_masks_as_order_and_indices(width):
 
 
 def test_minimal_normals_a4(by_name):
-    mins = se.minimal_normals(by_name["A4"])
-    assert len(mins) == 1 and mins[0].order == 4
+    lat = se.normal_lattice(by_name["A4"])
+    assert [lat.nodes[j].order for j in lat.up[0]] == [4]
 
 
 def test_minimal_normals_and_socle_s3xc2(by_name):
     g = by_name["S3xC2"]
-    mins = se.minimal_normals(g)
-    assert sorted(m.order for m in mins) == [2, 3]
+    lat = se.normal_lattice(g)
+    assert sorted(lat.nodes[j].order for j in lat.up[0]) == [2, 3]
     assert socle(g).order == 6
-
-
-def test_minimal_normals_rejects_trivial_group(by_name):
-    with pytest.raises(ValueError):
-        se.minimal_normals(by_name["C1"])
 
 
 def test_trivial_group_has_empty_chief_series(by_name):
@@ -314,16 +311,9 @@ def test_quotient_checks_normality_once_per_kernel(monkeypatch):
 def test_is_chief_factor(by_name):
     s4 = by_name["S4"]
     lat = se.normal_lattice(s4)
-    trivial, v4, a4 = lat.nodes[0], lat.nodes[1], lat.nodes[2]
-    assert se.is_chief_factor(s4, v4, a4)
-    assert not se.is_chief_factor(s4, trivial, a4)
-
-
-def test_is_chief_factor_rejects_non_normal(by_name):
-    s3 = by_name["S3"]
-    flip = se.span(s3, [idx(s3, "(1 2)")])
-    with pytest.raises(ValueError):
-        se.is_chief_factor(s3, flip, Subgroup.whole(s3))
+    assert [lat.nodes[k].order for k in range(3)] == [1, 4, 12]
+    assert 2 in lat.up[1]  # A4/V4
+    assert 2 not in lat.up[0]
 
 
 def test_factor_orders_multiply_to_group_order():
@@ -382,11 +372,11 @@ def test_socle_is_product_of_minimal_normals():
         if group.order == 1:
             continue
         soc = socle(group)
-        mins = se.minimal_normals(group)
+        lat = se.normal_lattice(group)
         acc = Subgroup.trivial(group)
         from subembed.subgroups import product_with_normal
 
-        for m in mins:
+        for m in (lat.nodes[j] for j in lat.up[0]):
             assert m.is_subset_of(soc)
             acc = product_with_normal(acc, m)
         assert acc == soc

@@ -5,6 +5,7 @@ import pytest
 sympy_groups = pytest.importorskip("sympy.combinatorics")
 
 import subembed as se
+from subembed.subgroups import derived_of_subgroup, normal_closure_in
 
 
 def as_sympy(group):
@@ -34,11 +35,12 @@ def test_normal_closures_match_sympy(corpus60):
             element = sympy_groups.Permutation([int(x) for x in group.rows[i]])
             closure = ref.normal_closure(sympy_groups.PermutationGroup([element]))
             expected = se.Subgroup.from_indices(group, sorted(indices_of(group, closure.elements)))
-            assert se.normal_closure(group, [i]) == expected, (name, i)
+            assert normal_closure_in(group, group.gen_indices, [i]) == expected, (name, i)
 
 
 def test_derived_and_lower_central_orders_match_sympy(corpus60):
     for name, group, ref in corpus60:
-        assert se.derived_subgroup(group).order == ref.derived_subgroup().order(), name
+        derived = derived_of_subgroup(se.Subgroup.whole(group))
+        assert derived.order == ref.derived_subgroup().order(), name
         orders = [term.order for term in se.lower_central_series(group)]
         assert orders == [term.order() for term in ref.lower_central_series()], name
