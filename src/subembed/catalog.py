@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -386,112 +387,70 @@ def parse_group_file(text: str) -> tuple[str, GroupExpr]:
 
 # -- construction-expression parsing --------------------------------------
 
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ValueError(f"{message} (at offset {self.pos})")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a constructor name")
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def string(self) -> str:
-        self.expect('"')
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != '"':
-            self.pos += 1
-        if self.pos >= len(self.text):
-            self.error("unterminated string")
-        out = self.text[start:self.pos]
-        self.pos += 1
-        return out
-
-    def expr(self) -> GroupExpr:
-        name = self.name()
-        if name in ("Quaternion8", "SL23"):
-            if self.peek() == "(":
-                self.expect("(")
-                self.expect(")")
-            return Quaternion8() if name == "Quaternion8" else SL23()
-        self.expect("(")
-        out: GroupExpr
-        if name == "Cyclic":
-            out = Cyclic(self.integer())
-        elif name == "Sym":
-            out = Sym(self.integer())
-        elif name == "Alt":
-            out = Alt(self.integer())
-        elif name == "Dihedral":
-            out = Dihedral(self.integer())
-        elif name == "ElemAbelian":
-            p = self.integer()
-            self.expect(",")
-            out = ElemAbelian(p, self.integer())
-        elif name == "Direct":
-            left = self.expr()
-            self.expect(",")
-            out = Direct(left, self.expr())
-        elif name == "Semidirect":
-            normal = self.expr()
-            self.expect(",")
-            complement = self.expr()
-            self.expect(",")
-            out = Semidirect(normal, complement, self.string())
-        elif name == "Perm":
-            degree = self.integer()
-            cycles = []
-            while self.peek() == ",":
-                self.expect(",")
-                cycles.append(self.string())
-            out = Perm(degree, tuple(cycles))
-        else:
-            self.error(f"unknown constructor {name!r}")
-        self.expect(")")
-        return out
+_CONSTRUCTORS = {cls.__name__: cls for cls in GroupExpr.__subclasses__()}
+_LITERALS = {"int": int, "str": str}
 
 
 def parse_expr(text: str) -> GroupExpr:
-    parser = _ExprParser(text)
-    out = parser.expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input after construction")
-    return out
+    """Parse a construction written in Python call syntax, evaluating nothing.
+
+    ``ast`` reads the text; each call names a ``GroupExpr`` class and passes
+    its fields in order, the argument kinds read off ``dataclasses.fields``:
+    an integer literal (optionally negated) for ``int``, a string literal for
+    ``str``, a nested construction for ``GroupExpr``, and any number of
+    string literals for a trailing ``tuple[str, ...]``. A class without
+    fields may drop its ``()``. Anything else raises ``ValueError`` with the
+    character offset in ``text``.
+    """
+    lead = len(text) - len(text.lstrip())
+    body = text.strip()
+    lines = body.split("\n")
+
+    def fail(message: str, lineno: int, col: int):
+        offset = lead + sum(len(line) + 1 for line in lines[: lineno - 1]) + col
+        raise ValueError(f"{message} (at offset {offset})")
+
+    def reject(node: ast.AST, message: str):
+        # ast columns count UTF-8 bytes
+        prefix = lines[node.lineno - 1].encode()[: node.col_offset]
+        fail(message, node.lineno, len(prefix.decode()))
+
+    def value(node: ast.expr, kind: str):
+        if kind == "GroupExpr":
+            return construction(node)
+        negated = kind == "int" and isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        literal = node.operand if negated else node
+        if not (isinstance(literal, ast.Constant) and type(literal.value) is _LITERALS[kind]):
+            reject(node, f"expected {'an integer' if kind == 'int' else 'a string'}")
+        return -literal.value if negated else literal.value
+
+    def construction(node: ast.expr) -> GroupExpr:
+        call = node if isinstance(node, ast.Call) else None
+        func = node.func if call else node
+        cls = _CONSTRUCTORS.get(func.id) if isinstance(func, ast.Name) else None
+        if cls is None or (call is None and fields(cls)):
+            reject(node, "expected a construction such as Cyclic(3)")
+        if call and call.keywords:
+            reject(call.keywords[0], "keyword arguments are not accepted")
+        kinds = [f.type for f in fields(cls)]
+        variadic = kinds[-1:] == ["tuple[str, ...]"]
+        if variadic:
+            kinds.pop()
+        args = call.args if call else []
+        if len(args) < len(kinds) or (len(args) > len(kinds) and not variadic):
+            reject(node, f"wrong number of arguments to {cls.__name__}")
+        values = [value(arg, kind) for arg, kind in zip(args, kinds)]
+        if variadic:
+            values.append(tuple(value(arg, "str") for arg in args[len(kinds):]))
+        return cls(*values)
+
+    try:
+        tree = ast.parse(body, mode="eval")
+    except SyntaxError as exc:
+        fail(exc.msg, exc.lineno or 1, (exc.offset or 1) - 1)
+    except (RecursionError, MemoryError):
+        fail("construction nested too deeply", 1, 0)
+    return construction(tree.body)
 
 
 # -- built-in corpus -------------------------------------------------------

@@ -27,14 +27,16 @@ from .normal import chief_series_enumerate, normal_lattice
 from .perms import parse_cycles
 from .subgroups import span
 
-PROPERTIES = (
-    "partial-s-pi",
-    "partial-pi",
-    "cap",
-    "gen-cap",
-    "s-quasinormal",
-    "s-qn-embedded",
-)
+# each takes (group, subgroup), and partial-s-pi also the prime
+PREDICATES = {
+    "partial-s-pi": partial_s_pi,
+    "partial-pi": partial_pi,
+    "cap": cap,
+    "gen-cap": gen_cap,
+    "s-quasinormal": lambda group, h: Verdict(s_quasinormal(group, h)),
+    "s-qn-embedded": lambda group, h: Verdict(s_qn_embedded(group, h)),
+}
+PROPERTIES = tuple(PREDICATES)
 
 
 def _load_group(path: str):
@@ -61,20 +63,6 @@ def _parse_subgroup(group, text: str):
     return span(group, indices)
 
 
-def _witness_text(group, verdict: Verdict) -> str:
-    lat = normal_lattice(group)
-    if verdict.witness is not None:
-        orders = [lat.nodes[i].order for i in verdict.witness]
-        return " < ".join(str(o) for o in orders)
-    if verdict.refutation is not None:
-        r = verdict.refutation
-        return (
-            f"factor {lat.nodes[r.upper].order // lat.nodes[r.lower].order} over the "
-            f"order-{lat.nodes[r.lower].order} node: {r.reason}"
-        )
-    return "no admissible chief series"
-
-
 def _cmd_check(args) -> int:
     prop = args.property
     if prop == "partial-s-pi" and args.prime is None:
@@ -86,38 +74,30 @@ def _cmd_check(args) -> int:
     group = _load_group(args.group)
     sub = _parse_subgroup(group, args.subgroup)
     result: dict = {"group": group.name, "order": group.order, "subgroup_order": sub.order, "property": prop}
-    if prop == "partial-s-pi":
-        verdict = partial_s_pi(group, sub, args.prime)
+    primes = () if args.prime is None else (args.prime,)  # given iff partial-s-pi
+    verdict = PREDICATES[prop](group, sub, *primes)
+    if primes:
         result["prime"] = args.prime
-    elif prop == "partial-pi":
-        verdict = partial_pi(group, sub)
-    elif prop == "cap":
-        verdict = cap(group, sub)
-    elif prop == "gen-cap":
-        verdict = gen_cap(group, sub)
-    elif prop == "s-quasinormal":
-        verdict = Verdict(s_quasinormal(group, sub))
-    else:
-        verdict = Verdict(s_qn_embedded(group, sub))
+    if prop == "s-qn-embedded":
         result["note"] = "witness search is best-effort; True answers are verified"
     result["holds"] = verdict.holds
-    if verdict.witness is not None:
-        result["witness_node_orders"] = [
-            normal_lattice(group).nodes[i].order for i in verdict.witness
-        ]
-    if verdict.refutation is not None:
-        result["refutation"] = {
-            "lower_order": normal_lattice(group).nodes[verdict.refutation.lower].order,
-            "upper_order": normal_lattice(group).nodes[verdict.refutation.upper].order,
-            "reason": verdict.refutation.reason,
-        }
+    witness, r = verdict.witness, verdict.refutation
+    if witness is not None or r is not None:
+        orders = [node.order for node in normal_lattice(group).nodes]
+    if witness is not None:
+        result["witness_node_orders"] = [orders[i] for i in witness]
+        detail = " < ".join(str(orders[i]) for i in witness)
+    elif r is not None:
+        result["refutation"] = {"lower_order": orders[r.lower], "upper_order": orders[r.upper], "reason": r.reason}
+        detail = f"factor {orders[r.upper] // orders[r.lower]} over the order-{orders[r.lower]} node: {r.reason}"
+    else:
+        detail = "no admissible chief series"
     if args.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
         print(f"{prop} on {group.name} (order {group.order}), subgroup of order {sub.order}: "
               f"{'holds' if verdict.holds else 'does not hold'}")
-        detail = _witness_text(group, verdict)
-        if verdict.holds and verdict.witness is not None:
+        if verdict.holds and witness is not None:
             print(f"  witness series node orders: {detail}")
         elif not verdict.holds:
             print(f"  {detail}")

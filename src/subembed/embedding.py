@@ -294,9 +294,7 @@ def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
         if h.is_normal():
             return True
         return all(
-            h.is_subset_of(s)
-            or s.is_subset_of(h)
-            or product_mask(h, s) == product_mask(s, h)
+            product_mask(h, s) == product_mask(s, h)
             for p in primes_of_group(group)
             for s in sylow_conjugates(group, p)
         )
@@ -309,35 +307,26 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     G has a Sylow q-subgroup equal to one of H.
 
     The witness search is anchored to the normal lattice: for a Sylow
-    q-subgroup H_q of H, the candidates are the lattice nodes N and the
-    products H_q·N whose order keeps H_q Sylow. N is normal, so H_q·N is a
-    subgroup of order |H_q|·|N : H_q∩N|, and H_q is Sylow in it iff q does
-    not divide |N : H_q∩N|; only those products are built, by one
-    Cayley-table gather each. A True answer is sound (the witness is
-    checked); a False answer means no candidate in that family worked,
-    which is a best-effort bound since full S-quasinormal subgroup
-    enumeration is infeasible for large groups.
+    q-subgroup H_q of H, the candidates are the products H_q·N with the
+    lattice nodes N, in lattice order, for which q does not divide
+    |N : H_q∩N|. N is normal, so H_q·N is a subgroup of order
+    |H_q|·|N : H_q∩N| with H_q as a Sylow q-subgroup, and each is built by
+    one Cayley-table gather only when the search reaches it. A True answer
+    is sound (the witness is checked); a False answer means no candidate in
+    that family worked, which is a best-effort bound since full
+    S-quasinormal subgroup enumeration is infeasible for large groups.
     """
     require_own_subgroup(group, h)
 
     def search() -> bool:
-        lat = normal_lattice(group)
+        nodes = normal_lattice(group).nodes
         for q in prime_divisors(h.order):
             hq = sylow_of_subgroup(h, q)
-            candidates = {node.mask for node in lat.nodes}
-            for node in lat.nodes:
-                index = node.order // (hq.mask & node.mask).bit_count()  # |N : H_q∩N|
-                if index % q:
-                    candidates.add(product_mask(hq, node))
-            for mask in sorted(candidates):
-                w = Subgroup(group, mask)
-                if not hq.is_subset_of(w):
-                    continue
-                if p_part(w.order, q) != hq.order:
-                    continue  # hq would not be Sylow in w
-                if s_quasinormal(group, w):
-                    break
-            else:
+            if not any(
+                s_quasinormal(group, Subgroup(group, product_mask(hq, node)))
+                for node in nodes
+                if node.order // (hq.mask & node.mask).bit_count() % q  # |N : H_q∩N|
+            ):
                 return False
         return True
 

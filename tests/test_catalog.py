@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import subembed as se
 from subembed import GroupFileError
 from subembed.catalog import (
+    _CORPUS_EXPRS,
     EXAMPLE_1875_EXPR,
     EXAMPLE_1875_NAME,
     build,
@@ -29,7 +31,7 @@ def test_readme_group_files_parse_and_build():
         if block.startswith("group "):
             name, expr = parse_group_file(block)
             orders[name] = build(expr).order
-    assert orders == {"S3": 6, "G1875": 1875}
+    assert orders == {"S3": 6, "G1875": 1875, "D8": 8}
 
 
 def test_direct_product_c2_c3():
@@ -175,6 +177,88 @@ def test_parse_group_file_errors():
     assert exc.value.line == 3
 
 
+_TEXT_1875 = (
+    'Semidirect(Direct(ElemAbelian(5,2), ElemAbelian(5,2)), Cyclic(3), '
+    '"g1 -> g2, g2 -> g1^-1*g2^-1, g3 -> g4, g4 -> g3^-1*g4^-1")'
+)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("Cyclic(5)", se.Cyclic(5)),
+        ("Sym(4)", se.Sym(4)),
+        ("Alt(5)", se.Alt(5)),
+        ("Dihedral(8)", se.Dihedral(8)),
+        ("ElemAbelian(3, 2)", se.ElemAbelian(3, 2)),
+        ("Quaternion8", se.Quaternion8()),
+        ("Quaternion8()", se.Quaternion8()),
+        ("SL23", se.SL23()),
+        ("SL23 ()", se.SL23()),
+        ("Direct(Cyclic(2), Cyclic(3))", se.Direct(se.Cyclic(2), se.Cyclic(3))),
+        (
+            'Semidirect(Cyclic(7), Cyclic(3), "g1 -> g1^2")',
+            se.Semidirect(se.Cyclic(7), se.Cyclic(3), "g1 -> g1^2"),
+        ),
+        ("Perm(3)", se.Perm(3, ())),
+        ('Perm(4, "(1 2 3 4)", "(1 3)")', se.Perm(4, ("(1 2 3 4)", "(1 3)"))),
+        ("  \n Cyclic(3) \t\n", se.Cyclic(3)),
+        ("Direct(\n  Cyclic(2),\n  Cyclic(3))", se.Direct(se.Cyclic(2), se.Cyclic(3))),
+        ("Cyclic(-3)", se.Cyclic(-3)),  # build's range check rejects it
+        (_TEXT_1875, EXAMPLE_1875_EXPR),
+        # Python spellings the call syntax brings with it
+        ("Perm(3, '(1 2)',)", se.Perm(3, ("(1 2)",))),
+        ("Cyclic(0x10)", se.Cyclic(16)),
+        ("Cyclic(1_0)", se.Cyclic(10)),
+        ("((Cyclic(3)))", se.Cyclic(3)),
+        ('Perm(3, "(1 " "2)")', se.Perm(3, ("(1 2)",))),
+    ],
+)
+def test_parse_expr_accepts(text, expected):
+    assert parse_expr(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "Cyclic(n=3)",
+        "Cyclic(3.0)",
+        "Cyclic(True)",
+        'Perm(3, b"(1 2)")',
+        'Perm(3, f"(1 2)")',
+        "se.Cyclic(3)",
+        "Nonsense(3)",
+        "Cyclic",
+        "Cyclic(--3)",
+        "Cyclic(+3)",
+        "Cyclic(x)",
+        "Cyclic()",
+        "Cyclic(3, 4)",
+        "Quaternion8(1)",
+        "Semidirect(Cyclic(7), Cyclic(3))",
+        'Cyclic("3")',
+        "Direct(Cyclic(2), 3)",
+        "Perm(3, 4)",
+        'Perm("3")',
+        "Cyclic(*[3])",
+        "Perm(3, *cycles)",
+        "Cyclic(3) + Cyclic(4)",
+        "Cyclic(3), Cyclic(4)",
+        "Alt(5) extra",
+        'Perm(3, "(1 2)',
+        pytest.param("Direct(Cyclic(1), " * 1200 + "Cyclic(1)" + ")" * 1200, id="nested-1200"),
+        pytest.param("Cyclic(" + "-" * 100000 + "3)", id="minus-100000"),
+    ],
+)
+def test_parse_expr_rejects(text):
+    with pytest.raises(ValueError, match=r"\(at offset \d+\)$"):
+        parse_expr(text)
+    with pytest.raises(GroupFileError) as exc:
+        parse_group_file(f"group x\n\nexpr {text}\n")
+    assert exc.value.line == 3
+
+
 def test_parse_expr_nested_semidirect_roundtrip():
     text = (
         'Semidirect(Direct(ElemAbelian(5,2), ElemAbelian(5,2)), Cyclic(3), '
@@ -188,6 +272,37 @@ def test_parse_expr_rejects_trailing_garbage():
         parse_expr("Alt(5) extra")
     with pytest.raises(ValueError):
         parse_expr("Nonsense(3)")
+
+
+def test_parse_expr_offsets_count_characters():
+    with pytest.raises(ValueError, match=r"at offset 7\)"):
+        parse_expr("Alt(5) extra")
+    with pytest.raises(ValueError, match=r"at offset 10\)"):
+        parse_expr(" \n Alt(5) extra")
+    with pytest.raises(ValueError, match=r"at offset 19\)"):
+        parse_expr("Direct(\nCyclic(2), Foo(1))")
+    # "→" is three bytes in UTF-8, one character of the text
+    with pytest.raises(ValueError, match=r"at offset 21\)"):
+        parse_expr('Direct(Perm(1, "→"), Foo(1))')
+
+
+def _expr_text(expr) -> str:
+    args = []
+    for field in dataclasses.fields(expr):
+        value = getattr(expr, field.name)
+        if isinstance(value, se.GroupExpr):
+            args.append(_expr_text(value))
+        elif isinstance(value, tuple):
+            args.extend(f'"{v}"' for v in value)
+        else:
+            args.append(f'"{value}"' if isinstance(value, str) else str(value))
+    return f"{type(expr).__name__}({', '.join(args)})"
+
+
+def test_parse_expr_reads_every_corpus_construction():
+    exprs = [expr for _, expr in _CORPUS_EXPRS] + [EXAMPLE_1875_EXPR]
+    for expr in exprs:
+        assert parse_expr(_expr_text(expr)) == expr
 
 
 def test_corpus_max_order_one_is_trivial_only():

@@ -97,6 +97,22 @@ def test_bad_group_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_expr_exits_2(tmp_path, capsys):
+    # 1200 nested calls are past Python's parser limit, so the file is
+    # rejected at its expr line rather than overflowing the stack
+    path = tmp_path / "deep.grp"
+    path.write_text("group deep\nexpr " + "Direct(Cyclic(1), " * 1200 + "Cyclic(1)" + ")" * 1200 + "\n")
+    assert main(["chief", "--group", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_chief_of_a_perm_expression(tmp_path, capsys):
+    path = tmp_path / "d8.grp"
+    path.write_text('group D8\nexpr Perm(4, "(1 2 3 4)", "(1 3)")\n')
+    assert main(["chief", "--group", str(path)]) == 0
+    assert "group D8: order 8, " in capsys.readouterr().out
+
+
 def test_usage_error_exits_2(a5_file):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--group", a5_file, "--subgroup", "", "--property", "bogus"])
