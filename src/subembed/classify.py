@@ -58,7 +58,7 @@ def sylow_of_subgroup(sub: Subgroup, p: int) -> Subgroup:
         raise ValueError(f"{p} is not prime")
     if p_part(sub.order, p) == sub.order:
         return sub  # a p-group is its own Sylow p-subgroup
-    return sub.group.memo("sylow", (sub.mask, p), lambda: _grow_sylow(sub, p))
+    return _grow_sylow(sub, p)
 
 
 def _grow_sylow(sub: Subgroup, p: int) -> Subgroup:

@@ -21,7 +21,7 @@ from .embedding import (
     s_qn_embedded,
     s_quasinormal,
 )
-from .errors import CycleParseError, GroupFileError, InvariantError, ResourceCapError, SubembedError
+from .errors import InvariantError, ResourceCapError, SubembedError
 from .harness import resolve_theorem_ids, run_corpus
 from .normal import chief_series_enumerate, normal_lattice
 from .perms import parse_cycles
@@ -37,6 +37,11 @@ PREDICATES = {
     "s-qn-embedded": lambda group, h: Verdict(s_qn_embedded(group, h)),
 }
 PROPERTIES = tuple(PREDICATES)
+# what the text format prints when a predicate that reads no chief series fails
+NOT_HOLDING = {
+    "s-quasinormal": "it does not permute with some Sylow subgroup of the group",
+    "s-qn-embedded": "some Sylow subgroup of it is a Sylow subgroup of no S-quasinormal subgroup the search found",
+}
 
 
 def _load_group(path: str):
@@ -91,7 +96,7 @@ def _cmd_check(args) -> int:
         result["refutation"] = {"lower_order": orders[r.lower], "upper_order": orders[r.upper], "reason": r.reason}
         detail = f"factor {orders[r.upper] // orders[r.lower]} over the order-{orders[r.lower]} node: {r.reason}"
     else:
-        detail = "no admissible chief series"
+        detail = NOT_HOLDING.get(prop, "no admissible chief series")
     if args.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
@@ -221,9 +226,6 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
-    except (CycleParseError, GroupFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

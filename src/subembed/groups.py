@@ -45,6 +45,8 @@ each element with its orbit's least element.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ResourceCapError
@@ -67,8 +69,10 @@ class FiniteGroup:
     read down its contiguous columns as ``table.argmin(axis=0)``, since x*j
     is the identity (index 0) only at x = j^-1. That read makes no copy of
     the table, so the first read of ``table`` and ``inv`` together peaks at
-    the table's own size. The other lazy caches are the element orders,
-    conjugacy classes and the row index behind :meth:`lookup_rows`.
+    the table's own size. The table, the inverses, the element orders, the
+    conjugacy classes and the row index behind :meth:`lookup_rows` are each
+    a ``functools.cached_property``, computed on first read; keyed values
+    go through :meth:`memo`.
 
     ``rows`` is one C-contiguous int32 array, joined from the breadth-first
     layer blocks of :func:`generate_group`, which are gone once the group is
@@ -84,12 +88,7 @@ class FiniteGroup:
         self.bfs_edges = bfs_edges  # bfs_edges[i] = (parent index, generator position)
         self._gen_columns = gen_columns  # gen_columns[k][x] = index of x * generators[k]
         self.name = name
-        self._row_index = None
-        self._table = None
-        self._inv = None
-        self._orders = None
-        self._classes = None
-        # every per-group cache (see memo), keyed by masks and primes
+        # the per-group caches keyed by masks and primes (see memo)
         self.cache: dict[str, dict] = {}
 
     def __repr__(self):
@@ -100,7 +99,7 @@ class FiniteGroup:
         """The value stored under ``key`` in ``cache[section]``, filled by
         ``compute()`` on a miss.
 
-        Every per-group cache goes through here. Values are never None.
+        Every keyed per-group cache goes through here. Values are never None.
         Callers validate their inputs first, since a hit skips ``compute``.
         Add a section only where its hits pay: a value asked for about once
         per key, or about as cheap to recompute as to look up, is computed
@@ -131,8 +130,6 @@ class FiniteGroup:
 
         Raises :class:`KeyError` when a row is not an element of the group.
         """
-        if self._row_index is None:
-            self._row_index = {row.tobytes(): i for i, row in enumerate(self.rows)}
         rows2d = np.asarray(rows2d)
         keys = rows2d.astype(self.rows.dtype)  # the dict keys on int32 bytes
         found = [self._row_index.get(row.tobytes(), -1) for row in keys]
@@ -140,16 +137,15 @@ class FiniteGroup:
             raise KeyError("row is not an element of this group")
         return np.array(found, dtype=np.intp)
 
+    @cached_property
+    def _row_index(self) -> dict[bytes, int]:
+        return {row.tobytes(): i for i, row in enumerate(self.rows)}
+
     # -- multiplication (compose left to right: (a*b)(x) = b(a(x))) ------
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
         """The Cayley table: ``table[i, j]`` is the index of i*j."""
-        if self._table is None:
-            self._table = self._build_table()
-        return self._table
-
-    def _build_table(self) -> np.ndarray:
         # column-major, so that column j (x*j for every x) is contiguous
         n = self.order
         table = np.empty((n, n), dtype=np.min_scalar_type(n - 1), order="F")
@@ -173,11 +169,9 @@ class FiniteGroup:
         """Indices of i*x for every x in ``idxs``."""
         return self.table[i, idxs]
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = self.table.argmin(axis=0)  # x*j is 0 only at x = j^-1
-        return self._inv
+        return self.table.argmin(axis=0)  # x*j is 0 only at x = j^-1
 
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
@@ -218,36 +212,36 @@ class FiniteGroup:
 
     # -- element orders and conjugacy classes ----------------------------
 
-    @property
+    @cached_property
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            # walk every x through x, x^2, x^3, ... until it reaches 1
-            table = self.table
-            orders = np.ones(self.order, dtype=np.int64)
-            live = np.arange(1, self.order)
-            power = live.copy()
-            k = 1
-            while len(live):
-                k += 1
-                power = table[power, live]
-                done = power == 0
-                orders[live[done]] = k
-                live = live[~done]
-                power = power[~done]
-            self._orders = orders
-        return self._orders
+        # walk every x through x, x^2, x^3, ... until it reaches 1
+        table = self.table
+        orders = np.ones(self.order, dtype=np.int64)
+        live = np.arange(1, self.order)
+        power = live.copy()
+        k = 1
+        while len(live):
+            k += 1
+            power = table[power, live]
+            done = power == 0
+            orders[live[done]] = k
+            live = live[~done]
+            power = power[~done]
+        return orders
 
     def element_order(self, i: int) -> int:
         return int(self.element_orders[i])
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Orbits of the conjugation action, each sorted, ordered by minimum."""
-        if self._classes is None:
-            labels = orbit_labels(self.conj_maps(self.gen_indices))
-            members = np.argsort(labels, kind="stable")
-            starts = np.flatnonzero(np.diff(labels[members])) + 1
-            self._classes = np.split(members, starts)
         return self._classes
+
+    @cached_property
+    def _classes(self) -> list[np.ndarray]:
+        labels = orbit_labels(self.conj_maps(self.gen_indices))
+        members = np.argsort(labels, kind="stable")
+        starts = np.flatnonzero(np.diff(labels[members])) + 1
+        return np.split(members, starts)
 
 
 def generate_group(

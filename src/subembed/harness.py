@@ -214,7 +214,7 @@ def _normal_p_subgroup_bindings(group: FiniteGroup):
     for p in primes_of_group(group):
         for node in lat.nodes:
             if p_part(node.order, p) == node.order:
-                yield {"p": p, "P": node, "P_order": node.order}
+                yield {"p": p, "P": node}
 
 
 def _coprime_normal_bindings(group: FiniteGroup):
@@ -223,7 +223,7 @@ def _coprime_normal_bindings(group: FiniteGroup):
     for node in lat.nodes:
         for p in primes_of_group(group):
             if node.order % p == 0 and math.gcd(node.order, p - 1) == 1:
-                yield {"p": p, "E": node, "E_order": node.order}
+                yield {"p": p, "E": node}
 
 
 def _p_soluble_normal_bindings(group: FiniteGroup):
@@ -232,7 +232,7 @@ def _p_soluble_normal_bindings(group: FiniteGroup):
     for i, node in enumerate(lat.nodes):
         for p, flags in soluble.items():
             if flags[i]:
-                yield {"p": p, "E": node, "E_order": node.order}
+                yield {"p": p, "E": node}
 
 
 def _f_star_sandwich_bindings(group: FiniteGroup):
@@ -244,13 +244,7 @@ def _f_star_sandwich_bindings(group: FiniteGroup):
         fstar = intersect(e, f_star_g)
         for x in lat.nodes:
             if fstar.is_subset_of(x) and x.is_subset_of(e):
-                yield {
-                    "E": e,
-                    "X": x,
-                    "E_order": e.order,
-                    "X_order": x.order,
-                    "F_star_order": fstar.order,
-                }
+                yield {"E": e, "X": x, "F_star": fstar}
 
 
 def _fitting_p_sandwich_bindings(group: FiniteGroup):
@@ -264,20 +258,13 @@ def _fitting_p_sandwich_bindings(group: FiniteGroup):
             for j, x in enumerate(lat.nodes):
                 if not (soluble[j] and fp.is_subset_of(x) and x.is_subset_of(e)):
                     continue
-                yield {
-                    "p": p,
-                    "E": e,
-                    "X": x,
-                    "E_order": e.order,
-                    "X_order": x.order,
-                    "F_p_order": fp.order,
-                }
+                yield {"p": p, "E": e, "X": x, "F_p": fp}
 
 
 def _prop41_bindings(group: FiniteGroup):
     for p, sub in standard_pool(group):
         for item in PROP41_ITEMS:
-            yield {"p": p, "H": sub, "H_order": sub.order, "item": item}
+            yield {"p": p, "H": sub, "item": item}
 
 
 # -- theorem table ---------------------------------------------------------
@@ -339,7 +326,12 @@ def instances(
     name = group.name or f"group{group.order}"
     out = []
     for payload in payloads:
-        bindings = {k: v for k, v in payload.items() if not isinstance(v, Subgroup)}
+        # every bound subgroup is reported by its order, as ``<name>_order``,
+        # the rule classify._orders_dict applies to class reports
+        bindings = dict(
+            (f"{k}_order", v.order) if isinstance(v, Subgroup) else (k, v)
+            for k, v in payload.items()
+        )
         out.append(TheoremInstance(theorem_id, name, bindings, payload=payload))
     return out, truncated
 

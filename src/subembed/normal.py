@@ -14,9 +14,6 @@ from .perms import Permutation
 from .subgroups import Subgroup, indices_from_mask, product_mask, span
 
 DEFAULT_NODE_CAP = 4096
-# rows per block when containment bitsets are renumbered: 64 rows of a
-# cap-sized lattice are 256 KB of unpacked bits
-_RENUMBER_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -110,23 +107,29 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
             if not both & at_order.get(order, 0):
                 add(product_mask(subs[m], subs[found]), both)
 
-    # from here on ids are the sorted ones, and sup is renumbered to them
+    # sorted id k is discovery id rank[k]; the cover scan reads the
+    # discovery-id bitsets and maps only the covers it finds to sorted ids
     rank = sorted(range(len(masks)), key=lambda i: _sort_key(masks[i], group.order))
-    sup = _renumbered(sup, rank)
+    pos = {d: k for k, d in enumerate(rank)}
+    orders = sorted(at_order)
+    # a node containing one of order o has an order that o divides
+    above = {o: [q for q in orders if q > o and q % o == 0] for o in orders}
     up: dict[int, tuple[int, ...]] = {}
-    for k, bits in enumerate(sup):
-        # ids follow order, so the lowest id above k is a cover of k: a node
-        # strictly between would have a smaller order, hence a smaller id.
-        # Striking off that cover's whole up-set keeps every other cover of k
-        # and drops every node above that cover, so the lowest id left is
-        # again a cover. That is one big-int step per cover, not one per
-        # comparable pair
-        rest, got = bits ^ (1 << k), []
-        while rest:
-            low = rest & -rest
-            got.append(low.bit_length() - 1)
-            rest &= ~sup[got[-1]]
-        up[k] = tuple(got)
+    for k, d in enumerate(rank):
+        # the least-order nodes left above d are covers of d: a node strictly
+        # between would be left too, with a smaller order. Striking off their
+        # up-sets keeps every other cover of d and drops every node above
+        # them, so the least order left is again covers. That is one big-int
+        # step per order class and per cover, not one per comparable pair
+        rest, got = sup[d] ^ (1 << d), []
+        for o in above[masks[d].bit_count()]:
+            if least := rest & at_order[o]:
+                for i in indices_from_mask(least):
+                    got.append(pos[i])
+                    rest &= ~sup[i]
+                if not rest:
+                    break
+        up[k] = tuple(sorted(got))
     covers = tuple((k, l) for k in up for l in up[k])
     nodes = tuple(subs[i] for i in rank)
     return NormalLattice(group, nodes, covers, up, {s.mask: k for k, s in enumerate(nodes)})
@@ -138,23 +141,6 @@ def _sort_key(mask: int, width: int) -> tuple[int, int]:
     masks of one order, the lowest bit where they differ belongs to the one
     that sorts first; reversing ``width`` bits makes that bit the highest."""
     return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
-
-
-def _renumbered(sup: list[int], rank: list[int]) -> list[int]:
-    """Bitsets over discovery ids renumbered to sorted ids, where sorted id k
-    is discovery id ``rank[k]``: entry k is ``sup[rank[k]]`` with its bits
-    moved by rank. The bits are moved as bit-matrix columns, a block of
-    _RENUMBER_ROWS rows at a time, so that the matrix is never held whole."""
-    n, width = len(sup), (len(sup) + 7) // 8
-    order = np.asarray(rank, dtype=np.intp)
-    out = []
-    for start in range(0, n, _RENUMBER_ROWS):
-        rows = rank[start : start + _RENUMBER_ROWS]
-        raw = np.frombuffer(b"".join(sup[i].to_bytes(width, "little") for i in rows), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(rows), width), axis=1, count=n, bitorder="little")
-        packed = np.packbits(bits.take(order, axis=1), axis=1, bitorder="little")
-        out += [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return out
 
 
 @dataclass(frozen=True)

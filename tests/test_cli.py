@@ -88,6 +88,40 @@ def test_check_rejects_subgroup_not_in_group(a5_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "prop, reason",
+    [
+        ("s-quasinormal", "it does not permute with some Sylow subgroup of the group"),
+        (
+            "s-qn-embedded",
+            "some Sylow subgroup of it is a Sylow subgroup of no S-quasinormal subgroup the search found",
+        ),
+    ],
+    ids=["s-quasinormal", "s-qn-embedded"],
+)
+def test_check_text_gives_the_reason_of_a_bool_predicate(s4_file, capsys, prop, reason):
+    # <(1 2)(3 4)> is not normalized by A4 = O^2(S4), and neither predicate
+    # reads chief series, so the chief-series fallback line must not appear
+    code = main(["check", "--group", s4_file, "--subgroup", "(1 2)(3 4)", "--property", prop])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{prop} on S4 (order 24), subgroup of order 2: does not hold",
+        f"  {reason}",
+    ]
+
+
+def test_check_text_keeps_the_chief_series_fallback(a5_file, capsys):
+    code = main(["check", "--group", a5_file, "--subgroup", "(1 2 3 4 5)", "--property", "partial-pi"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "  no admissible chief series"
+
+
+def test_unclosed_cycle_exits_2(a5_file, capsys):
+    code = main(["check", "--group", a5_file, "--subgroup", "(1 2", "--property", "cap"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unclosed cycle (at offset 4)\n"
+
+
 def test_bad_group_file_exits_2(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_text("group bad\ndegree 5\ngen (1 7)\n")
