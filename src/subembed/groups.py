@@ -9,20 +9,20 @@ time (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, 2005),
 keeping only what the search needs. Each generator's products with the
 frontier form one block; the rows new in it are copied out and the block is
 freed before the next generator's. A layer's new rows form one compact
-block, which is the next frontier, and ``rows`` is those blocks joined once,
-as int32, at the end. Until then the rows are held in the narrowest
-unsigned dtype that holds a point (one byte up to degree 256, two up to
-65536) and deduplicated by a dict keyed on their bytes, so a lookup is
-decided by full-row equality; the dict is freed before the join. Building
-the order-1875 group (degree 625) peaks at 1.8 times its 4.7 MB of rows
-under tracemalloc.
+block, which is the next frontier, and ``rows`` is those blocks joined once
+at the end. The rows are held in the narrowest unsigned dtype that holds a
+point (one byte up to degree 256, two up to 65536), from the first layer to
+the joined ``rows``, and deduplicated by a dict keyed on their bytes, so a
+lookup is decided by full-row equality; the dict is freed before the join.
+Building the order-1875 group (degree 625, 2.3 MB of two-byte rows) peaks
+at 2.7 times its rows under tracemalloc.
 
 Products are read from a Cayley table of element indices, built on the
 first multiplication. The closure already finds x*g for every element x and
 generator g, so it hands those generator columns to the group, and the
 table fills its other columns along the breadth-first tree.
-:meth:`FiniteGroup.index_of` finds a permutation's index by comparing its
-image row with every row of ``rows`` and keeps nothing.
+:meth:`FiniteGroup.index_of` finds a permutation's index by narrowing the
+rows that agree with its image row one column at a time and keeps nothing.
 :meth:`FiniteGroup.lookup_rows`, which maps many rows at once, keeps a dict
 keyed on row bytes, built on its first call.
 
@@ -72,16 +72,18 @@ class FiniteGroup:
     the table's own size. The table, the inverses, the element orders, the
     conjugacy classes and the row index behind :meth:`lookup_rows` are each
     a ``functools.cached_property``, computed on first read; keyed values
-    go through :meth:`memo`.
+    go through :meth:`memo`. :meth:`release` drops all of them, and each is
+    computed again if it is read again.
 
-    ``rows`` is one C-contiguous int32 array, joined from the breadth-first
-    layer blocks of :func:`generate_group`, which are gone once the group is
-    built.
+    ``rows`` is one C-contiguous array in the narrowest unsigned dtype that
+    holds a point (uint8 up to degree 256, uint16 up to 65536), joined from
+    the breadth-first layer blocks of :func:`generate_group`, which are gone
+    once the group is built.
     """
 
     def __init__(self, degree, rows, gen_indices, generators, bfs_edges, gen_columns, name=None):
         self.degree = degree
-        self.rows = rows  # (order, degree) int32, 0-based images
+        self.rows = rows  # (order, degree) unsigned, 0-based images
         self.order = len(rows)
         self.gen_indices = tuple(gen_indices)
         self.generators = tuple(generators)
@@ -111,6 +113,16 @@ class FiniteGroup:
             got = table[key] = compute()
         return got
 
+    def release(self) -> None:
+        """Drop every lazily computed value: the :meth:`memo` sections and
+        every ``cached_property`` (the table, the inverses, the element
+        orders, the conjugacy classes, the row index). What remains is what
+        :func:`generate_group` built, from which each is computed again on
+        its next read."""
+        self.cache.clear()
+        for name in _CACHED_PROPERTIES:
+            vars(self).pop(name, None)
+
     # -- element access -------------------------------------------------
 
     def perm(self, i: int) -> Permutation:
@@ -119,9 +131,14 @@ class FiniteGroup:
     def index_of(self, perm: Permutation) -> int:
         if perm.degree != self.degree:
             raise ValueError("degree mismatch")
-        row = np.asarray([i - 1 for i in perm.images], dtype=np.int32)
-        found = np.flatnonzero((self.rows == row).all(axis=1))
-        if not len(found):
+        row = np.asarray([i - 1 for i in perm.images], dtype=self.rows.dtype)
+        # the rows are distinct, so at most one agrees on every column
+        found = np.flatnonzero(self.rows[:, 0] == row[0])
+        for column in range(1, self.degree):
+            if len(found) < 2:
+                break
+            found = found[self.rows[found, column] == row[column]]
+        if not len(found) or not np.array_equal(self.rows[found[0]], row):
             raise KeyError(f"permutation {perm} is not an element of this group")
         return int(found[0])
 
@@ -131,7 +148,7 @@ class FiniteGroup:
         Raises :class:`KeyError` when a row is not an element of the group.
         """
         rows2d = np.asarray(rows2d)
-        keys = rows2d.astype(self.rows.dtype)  # the dict keys on int32 bytes
+        keys = rows2d.astype(self.rows.dtype)  # the dict keys on the bytes of rows
         found = [self._row_index.get(row.tobytes(), -1) for row in keys]
         if -1 in found or not np.array_equal(keys, rows2d):
             raise KeyError("row is not an element of this group")
@@ -244,6 +261,12 @@ class FiniteGroup:
         return np.split(members, starts)
 
 
+# the lazily computed values FiniteGroup.release drops
+_CACHED_PROPERTIES = tuple(
+    name for name, value in vars(FiniteGroup).items() if isinstance(value, cached_property)
+)
+
+
 def generate_group(
     gens,
     degree: int,
@@ -262,8 +285,8 @@ def generate_group(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator {g} has degree {g.degree}, expected {degree}")
-    # rows are built in the narrowest dtype that holds a point, which keeps
-    # the blocks and the row-bytes keys small, and joined as int32 at the end
+    # rows are held in the narrowest dtype that holds a point, which keeps
+    # the blocks, the row-bytes keys and the joined rows small
     dtype = np.min_scalar_type(degree - 1)
     gen_rows = [np.asarray([i - 1 for i in g.images], dtype=dtype) for g in gens]
 
@@ -299,7 +322,7 @@ def generate_group(
     del index  # its keys copy every row: free them before joining the blocks
     gen_indices = [column[0] for column in columns]  # 1 * g = g
     columns = np.array(columns, dtype=np.min_scalar_type(len(edges) - 1))
-    rows = np.concatenate(blocks, dtype=np.int32)
+    rows = np.concatenate(blocks)
     return FiniteGroup(degree, rows, gen_indices, gens, edges, columns, name=name)
 
 

@@ -30,7 +30,7 @@ from .classify import (
 )
 from .embedding import gen_cap, partial_pi, partial_s_pi, s_quasinormal
 from .groups import FiniteGroup
-from .normal import normal_lattice
+from .normal import _sort_key, normal_lattice
 from .subgroups import (
     Subgroup,
     cyclic_subgroups_of_order,
@@ -111,7 +111,7 @@ def standard_pool(group: FiniteGroup) -> list[tuple[int, Subgroup]]:
             pool.setdefault(sub.mask, sub)
         out.extend(
             (p, sub)
-            for sub in sorted(pool.values(), key=lambda s: (s.order, s.indices))
+            for sub in sorted(pool.values(), key=lambda s: _sort_key(s.mask, group.order))
         )
     return out
 
@@ -413,10 +413,13 @@ def run_corpus(
 
     The groups run one after another in corpus order, in one thread, and
     each theorem's summary takes its instances in that order, so the report
-    is deterministic apart from ``timing_ms``. ``jobs`` accepts only 1 and
-    raises ``ValueError`` for anything else; the benchmark revision of
-    ROADMAP item 8, whose ``verify-1875`` workload still passes ``jobs=1``,
-    removes it.
+    is deterministic apart from ``timing_ms``. Once a group's checks are
+    done, its caches and table are released (:meth:`FiniteGroup.release`),
+    so only the group being checked holds them; a later run, or any later
+    reader of the corpus groups, computes them again. ``jobs`` accepts only
+    1 and raises ``ValueError`` for anything else; the benchmark revision
+    of ROADMAP item 8, whose ``verify-1875`` workload still passes
+    ``jobs=1``, removes it.
     """
     if jobs != 1:
         raise ValueError(f"run_corpus runs in one thread; jobs must be 1, got {jobs!r}")
@@ -439,6 +442,7 @@ def run_corpus(
                 else:
                     summary.counterexamples += 1
                     summary.counterexample_bindings.append(inst.to_dict())
+        group.release()  # only the group being checked keeps its caches
 
     report = RunReport(
         tool_version=__version__,

@@ -46,6 +46,11 @@ class Subgroup:
     Word-parallel mask arithmetic makes intersections, containment tests and
     equality O(|G|/w). Instances are immutable and hashable. ``order`` is
     the mask's popcount, counted once when the instance is made.
+
+    ``index_array`` (the member indices, ascending) is unpacked from the
+    mask's bytes on first read and cached, as is ``member_bool``;
+    ``indices``, the same indices as a tuple of Python ints, is built from
+    ``index_array`` on every read and never kept.
     """
 
     __slots__ = ("group", "mask", "order", "__dict__")
@@ -80,13 +85,15 @@ class Subgroup:
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.group!r}>"
 
-    @cached_property
+    @property
     def indices(self) -> tuple[int, ...]:
-        return indices_from_mask(self.mask)
+        return tuple(self.index_array.tolist())
 
     @cached_property
     def index_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
+        packed = self.mask.to_bytes((self.mask.bit_length() + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(bits)
 
     @cached_property
     def member_bool(self) -> np.ndarray:
@@ -106,7 +113,7 @@ class Subgroup:
 
         def pick() -> tuple[int, ...]:
             have, gens = np.arange(self.group.order) == 0, []
-            extend_closure(self.group, have, gens, self.indices)
+            extend_closure(self.group, have, gens, self.index_array)
             if mask_from_bool(have) != self.mask:
                 raise InvariantError("the greedy generators do not span the subgroup")
             return tuple(gens)

@@ -1,8 +1,10 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +283,8 @@ def test_builder_matches_the_per_row_reference(
     cases = [(g.generators, g.degree) for g in groups] + _degenerate_generator_lists()
     for gens, degree in cases:
         group, reference = generate_group(gens, degree), reference_generate_group(gens, degree)
-        assert group.rows.dtype == np.int32 and group.rows.flags.c_contiguous
+        assert group.rows.dtype == np.min_scalar_type(degree - 1), group
+        assert group.rows.flags.c_contiguous
         assert np.array_equal(group.rows, reference.rows), group
         assert group.bfs_edges == reference.bfs_edges, group
         assert group.gen_indices == reference.gen_indices, group
@@ -317,8 +320,9 @@ def _traced_peak(build):
 
 def test_building_the_1875_group_peaks_near_its_rows():
     # each layer's new rows are copied out of their product block, and the
-    # row keys go before the layers are joined; a builder that keeps every
-    # row as a view of its product block peaks at 6.6x
+    # row keys go before the layers are joined (2.7x of the two-byte rows);
+    # a builder that kept every row as a view of its product block peaked
+    # at 6.6 times the int32 rows it then joined
     peak, group = _traced_peak(lambda: se.build(EXAMPLE_1875_EXPR))
     assert group.order == 1875
     assert peak <= 3 * group.rows.nbytes, peak / group.rows.nbytes
@@ -333,14 +337,40 @@ def test_first_table_and_inverse_read_peaks_near_the_table():
 
 
 def test_index_of_keeps_no_row_index():
-    # a dict keyed on the row bytes of the 1875 group holds 4.6 MB, about
-    # the rows' own size; the direct compare holds one boolean per entry
+    # a dict keyed on the row bytes of the 1875 group holds 2.5 MB, about
+    # the rows' own size; narrowing the rows column by column holds one
+    # boolean per row for the first column and fewer after it
     group = se.build(EXAMPLE_1875_EXPR)
     last = group.perm(group.order - 1)
     peak, index = _traced_peak(lambda: group.index_of(last))
     assert index == group.order - 1
     assert "_row_index" not in vars(group)
     assert peak <= 0.3 * group.rows.nbytes, peak / group.rows.nbytes
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_release_drops_every_lazy_value():
+    lazy = [
+        name
+        for name in dir(se.FiniteGroup)
+        if isinstance(inspect.getattr_static(se.FiniteGroup, name), cached_property)
+    ]
+    assert {"table", "inv", "element_orders", "_classes", "_row_index"} <= set(lazy)
+    group = se.build(se.Sym(4))
+    before = {name: getattr(group, name) for name in lazy}
+    se.normal_lattice(group)
+    assert group.cache and set(lazy) <= set(vars(group))
+    group.release()
+    assert group.cache == {} and not set(lazy) & set(vars(group))
+    for name in lazy:  # computed again on the next read, to the same value
+        assert _same(getattr(group, name), before[name]), name
 
 
 def test_table_is_built_lazily():
@@ -357,6 +387,26 @@ def test_table_dtype_fits_the_order():
     c257 = se.build(se.Cyclic(257))
     assert c257.order == 257 and c257.table.dtype == np.uint16
     assert c257.element_order(1) == 257
+    # the image rows fit the degree: one byte up to 256 points, two above
+    c256 = se.build(se.Cyclic(256))
+    assert c256.degree == 256 and c256.rows.dtype == np.uint8
+    assert c257.degree == 257 and c257.rows.dtype == np.uint16
+    for group in (c256, c257):
+        every = list(range(group.order))
+        assert [group.index_of(group.perm(i)) for i in every] == every
+        assert group.lookup_rows(group.rows).tolist() == every
+        assert group.lookup_rows(group.rows.astype(np.int64)).tolist() == every
+        with pytest.raises(KeyError):
+            group.index_of(parse_cycles("(1 2)", group.degree))
+        # the point degree - 1 plus or minus 2^bits: the same narrow bytes,
+        # one wrapped past the top and one negative, neither an image row
+        wrap = np.iinfo(group.rows.dtype).max + 1
+        for shift in (wrap, -wrap):
+            row = group.rows[:1].astype(np.int64)
+            row[0, -1] += shift
+            assert np.array_equal(row.astype(group.rows.dtype), group.rows[:1])
+            with pytest.raises(KeyError):
+                group.lookup_rows(row)
 
 
 def _cycle_length_order(images):
@@ -387,7 +437,7 @@ def test_lookup_rows_rejects_rows_outside_the_group():
     # the index keys on row bytes, so the dtype of the rows must not matter
     assert a5.lookup_rows(a5.rows.astype(np.int64)).tolist() == list(range(a5.order))
     wrapped = a5.rows[:1].astype(np.int64)
-    wrapped[0, 0] += 2**32  # the same int32 bytes, but not an image row
+    wrapped[0, 0] += 2**32  # the same narrow bytes, but not an image row
     with pytest.raises(KeyError):
         a5.lookup_rows(wrapped)
     for i in range(a5.order):

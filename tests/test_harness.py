@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -177,7 +178,8 @@ def test_run_corpus_trivial_corpus_has_zero_instances(tmp_path):
 
 def test_run_corpus_deterministic_modulo_timing(tmp_path):
     r1 = run_corpus(["prop-3.1", "prop-4.1"], max_order=30, jobs=1)
-    r2 = run_corpus(["prop-3.1", "prop-4.1"], max_order=30)  # every cache warm
+    # r1 released every group it checked, so r2 starts with every cache cold
+    r2 = run_corpus(["prop-3.1", "prop-4.1"], max_order=30)
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1["timing_ms"] = d2["timing_ms"] = 0
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
@@ -204,6 +206,17 @@ def test_small_run_has_zero_counterexamples():
     for summary in report.theorems:
         assert summary.counterexample_bindings == []
     assert _digest(report) == SMALL_RUN_SHA256
+
+
+def test_run_releases_every_group():
+    lazy = {n for n, v in vars(se.FiniteGroup).items() if isinstance(v, cached_property)}
+    first = run_corpus(list(THEOREM_IDS), max_order=48)
+    for name, group in se.builtin_corpus(48):
+        assert group.cache == {}, name
+        assert not lazy & set(vars(group)), name
+    # the released groups compute everything again, to the same report
+    again = run_corpus(list(THEOREM_IDS), max_order=48)
+    assert _digest(first) == _digest(again) == SMALL_RUN_SHA256
 
 
 def test_run_builds_no_child_group(monkeypatch):

@@ -616,6 +616,23 @@ def test_indices_from_mask_matches_binary_string():
         indices_from_mask(-1)
 
 
+def test_subgroup_members_match_the_bit_loop(group1875):
+    # index_array unpacks the mask's bytes; indices_from_mask takes off one
+    # low bit at a time. The masks need not be subgroups for the decoder.
+    rng = random.Random(23)
+    for width in (1, 8, 64, 65, 216, 1875):
+        full = (1 << width) - 1
+        masks = [0, full, 1 << (width - 1)]
+        masks += [rng.getrandbits(width) | 1 << (width - 1) for _ in range(20)]
+        masks += [rng.getrandbits(width) for _ in range(20)]
+        for mask in masks:
+            sub = Subgroup(group1875, mask)
+            want = indices_from_mask(mask)
+            assert sub.index_array.tolist() == list(want), (width, mask)
+            assert sub.index_array.dtype == np.int64
+            assert sub.indices == want and all(type(i) is int for i in sub.indices)
+
+
 def test_is_normal_matches_every_conjugate(corpus400):
     # definition: H^g = H for every g in G, with each conjugate formed
     verdicts = []
