@@ -1,31 +1,33 @@
 """Subgroup-embedding predicates over chief series.
 
-Each chief-series predicate is a per-factor test passed to one of two
-evaluators. "Some chief series works" (``partial_s_pi``, ``partial_pi``) is
-decided as single-source reachability in the cover-pair DAG of the normal
-lattice: the per-factor conditions depend only on the cover pair, and chief
-series are exactly the maximal chains, so a path from the trivial node to
-the top exists iff an admissible chief series does. This avoids enumerating
-chains, which is exponential for elementary abelian groups. "Every chief
-factor works" (``cap``, ``gen_cap``) scans the cover pairs and reports the
-first one that fails.
+Each chief-series predicate tests every chief factor L/K, that is, every
+cover pair (K, L) of the normal lattice. "Some chief series works"
+(``partial_s_pi``, ``partial_pi``) is single-source reachability in the
+cover-pair DAG: chief series are its maximal chains, so a path of passing
+covers from the trivial node to the top exists iff an admissible chief
+series does, and no chain is enumerated (elementary abelian groups have
+exponentially many). "Every chief factor works" (``cap``, ``gen_cap``)
+scans the cover pairs and reports the first one that fails.
 
-Every per-factor test reads the section X = (H∩L)K off its order first.
-Since (H∩L)∩K = H∩K, |X| = |H∩L|·|K|/|H∩K| comes from two mask popcounts
-and the order of K, which a Subgroup counts once and keeps.
-K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup strictly
-between them that is not normal. X = K means H∩L ≤ K (the factor is
-avoided); X = K or X = L means X is normal, with normalizer index 1. On a
-prime-order factor no other case arises.
+An evaluation reads the lattice once and takes |H∩N| for every node N, one
+mask popcount each. Since (H∩L)∩K = H∩K, the section X = (H∩L)K has
+|X| = |H∩L|·|K|/|H∩K|, so each cover is decided by integer arithmetic on
+those counts and the node orders, clause by clause in this order:
 
-A section strictly between K and L is first tested against one number per
-cover pair, |G : C| for C = C_G(L/K). C normalizes X: for g ∈ C and x ∈ X,
-x^g ∈ xK ⊆ X. X is not normal in G, since L/K is a chief factor. So
-|G : N_G(X)| is a divisor of |G : C| greater than 1: it is a pi-number when
-every prime of |G : C| is in pi, and not one when none is. Only when
-|G : C| has primes both in and outside pi is X built as a product and its
-normalizer scanned. ``recheck_witness_partial_s_pi`` never uses this bound;
-it builds and scans every section, as an independent check.
+1. K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup
+   strictly between them that is not normal. X = K means H∩L ≤ K (the
+   factor is avoided); X = K or X = L is normal, with normalizer index 1.
+   On a prime-order factor no other case arises.
+2. For a p-subgroup H, X/K is a p-group, so it is a Sylow p-subgroup of
+   L/K iff p does not divide |L : X|.
+3. A section strictly between K and L is tested against |G : C| for
+   C = C_G(L/K), one number per cover. C normalizes X: for g ∈ C and x ∈ X,
+   x^g ∈ xK ⊆ X. X is not normal, as L/K is a chief factor, so |G : N_G(X)|
+   is a divisor of |G : C| above 1: it is a pi-number when every prime of
+   |G : C| is in pi, and not one when none is.
+4. Only when |G : C| has primes both in and outside pi is X built as a
+   product and its normalizer scanned. ``recheck_witness_partial_s_pi``
+   builds and scans every section, as an independent check.
 
 S-quasinormality of a p-subgroup H ≠ 1 is read off O^p(G), the least normal
 subgroup of p-power index: H permutes with every Sylow subgroup of G iff
@@ -78,17 +80,9 @@ class Verdict:
         return self.holds
 
 
-def _section_subgroup(h: Subgroup, lat: NormalLattice, k: int, l: int) -> Subgroup:
-    """(H ∩ L)K for the cover pair (K, L); a subgroup since K is normal."""
-    inter = intersect(h, lat.nodes[l])
-    return product_with_normal(inter, lat.nodes[k])
-
-
-def _section_order(h: Subgroup, lat: NormalLattice, k: int, l: int) -> int:
-    """|(H ∩ L)K| = |H∩L|·|K|/|H∩K|, since (H∩L)∩K = H∩K for K <= L."""
-    low, high = lat.nodes[k], lat.nodes[l]
-    meet_low = (h.mask & low.mask).bit_count()
-    return (h.mask & high.mask).bit_count() * low.order // meet_low
+def _meet_orders(h: Subgroup, lat: NormalLattice) -> list[int]:
+    """|H ∩ N| for every lattice node N, one popcount each."""
+    return [(h.mask & node.mask).bit_count() for node in lat.nodes]
 
 
 def factor_centralizer_index(group: FiniteGroup, lat: NormalLattice, k: int, l: int) -> int:
@@ -121,63 +115,50 @@ def _decided_by_centralizer(group: FiniteGroup, lat: NormalLattice, k: int, l: i
     if index == 1:
         raise InvariantError("a chief factor centralized by G has a strict section")
     inside = [q in pi for q in prime_divisors(index)]
-    if all(inside):
-        return True
-    if not any(inside):
-        return False
+    if all(inside) or not any(inside):
+        return all(inside)
     return None
 
 
-def _section_index_is_pi(group, h, lat, k: int, l: int, order: int, pi) -> bool:
-    """|G : N_G(X)| a pi-number for the section X = (H∩L)K of this order.
-    X = K or X = L is normal, of index 1. Any other X is first tried against
-    |G : C_G(L/K)| (see the module docstring); only when that bound does not
-    decide is X built and its normalizer scanned. N_{G/K}(X/K) = N_G(X)/K
-    since K <= X is normal, so the index upstairs equals the index in G."""
-    if order in (lat.nodes[k].order, lat.nodes[l].order):
-        return True
+def _strict_section_is_pi(group, h, lat, k: int, l: int, pi) -> bool:
+    """|G : N_G(X)| a pi-number for X = (H∩L)K strictly between K and L:
+    the bound of clause 3 of the module docstring, else the scan of clause 4.
+    N_G(X)/K = N_{G/K}(X/K), so the index in G is the index upstairs."""
     decided = _decided_by_centralizer(group, lat, k, l, pi)
     if decided is not None:
         return decided
-    x = _section_subgroup(h, lat, k, l)
+    x = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])  # K is normal
     return is_pi_number(group.order // normalizer(group, x).order, pi)
 
 
-def _some_chief_series(group: FiniteGroup, edge_ok) -> Verdict:
-    """Some chief series passes ``edge_ok(lat, k, l)`` on every factor: a
-    reachability search from the trivial node to the top along passing
-    cover pairs, returning the first path found as the witness."""
+def _some_chief_series(group: FiniteGroup, h: Subgroup, strict_ok) -> Verdict:
+    """Some chief series passes on every factor: a reachability search from
+    the trivial node to the top along passing cover pairs, returning the
+    first path found as the witness. A cover (K, L) passes when its section
+    X = (H∩L)K is K or L, else when ``strict_ok(lat, k, l, |X|)`` holds."""
     lat = normal_lattice(group)
-    parent = {0: None}
-    frontier = [0]
+    meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
+    parent, frontier, top = {0: None}, [0], lat.top
     while frontier:
         nxt = []
         for node in frontier:
             for upper in lat.up[node]:
-                if upper in parent or not edge_ok(lat, node, upper):
+                if upper in parent:
+                    continue
+                x = meet[upper] * orders[node] // meet[node]
+                if x not in (orders[node], orders[upper]) and not strict_ok(lat, node, upper, x):
                     continue
                 parent[upper] = node
-                if upper == lat.top:
+                if upper == top:
                     path = [upper]
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
                     return Verdict(True, witness=tuple(reversed(path)))
                 nxt.append(upper)
         frontier = nxt
-    if lat.top == 0:
+    if top == 0:
         return Verdict(True, witness=(0,))
     return Verdict(False)
-
-
-def _every_chief_factor(group: FiniteGroup, refute) -> Verdict:
-    """Every chief factor passes: ``refute(lat, k, l)`` returns None for a
-    passing cover pair, else the reason the first failing one fails."""
-    lat = normal_lattice(group)
-    for k, l in lat.covers:
-        reason = refute(lat, k, l)
-        if reason is not None:
-            return Verdict(False, refutation=Refutation(k, l, reason))
-    return Verdict(True)
 
 
 def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
@@ -192,15 +173,13 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     if p_part(h.order, p) != h.order:
         raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
 
-    def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
-        low = lat.nodes[k].order
-        order = _section_order(h, lat, k, l)
-        if order // low == p_part(lat.nodes[l].order // low, p):
-            return True  # X/K is a p-group, so full p-part means Sylow
-        return _section_index_is_pi(group, h, lat, k, l, order, (p,))
+    def strict_ok(lat: NormalLattice, k: int, l: int, x: int) -> bool:
+        if lat.nodes[l].order // x % p:
+            return True  # X/K is a p-group of p'-index in L/K: a Sylow subgroup
+        return _strict_section_is_pi(group, h, lat, k, l, (p,))
 
     return group.memo(
-        "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, edge_ok)
+        "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, h, strict_ok)
     )
 
 
@@ -210,12 +189,11 @@ def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     an avoided factor forces X = K, normal of index 1."""
     require_own_subgroup(group, h)
 
-    def edge_ok(lat: NormalLattice, k: int, l: int) -> bool:
-        order = _section_order(h, lat, k, l)
-        pi = prime_divisors(order // lat.nodes[k].order)
-        return _section_index_is_pi(group, h, lat, k, l, order, pi)
+    def strict_ok(lat: NormalLattice, k: int, l: int, x: int) -> bool:
+        pi = prime_divisors(x // lat.nodes[k].order)
+        return _strict_section_is_pi(group, h, lat, k, l, pi)
 
-    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, edge_ok))
+    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, h, strict_ok))
 
 
 def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -227,15 +205,16 @@ def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     """
     require_own_subgroup(group, h)
 
-    def refute(lat: NormalLattice, k: int, l: int) -> str | None:
-        order = _section_order(h, lat, k, l)
-        if order == lat.nodes[k].order:
-            return None  # avoided
-        if order == lat.nodes[l].order:
-            return None  # covered
-        return "neither covers nor avoids"
+    def scan() -> Verdict:
+        lat = normal_lattice(group)
+        meet, nodes = _meet_orders(h, lat), lat.nodes
+        for k, l in lat.covers:
+            # avoided: |H∩L| = |H∩K|; covered: |X| = |H∩L||K|/|H∩K| = |L|
+            if meet[l] != meet[k] and meet[l] * nodes[k].order != meet[k] * nodes[l].order:
+                return Verdict(False, refutation=Refutation(k, l, "neither covers nor avoids"))
+        return Verdict(True)
 
-    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, refute))
+    return group.memo("cap", h.mask, scan)
 
 
 def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -244,31 +223,34 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     factor) |L : (H∩L)K| is coprime to every prime of (H∩L)K/K.
 
     A chief factor is abelian exactly when its order is a prime power, so
-    the two non-avoided branches are distinguished by the factor order.
-    Both read |(H∩L)K| off popcounts; only the q-factor branch, for a section
-    strictly between K and L that |G : C_G(L/K)| does not decide, builds
-    (H∩L)K to scan its normalizer.
+    the two non-avoided branches are distinguished by the factor order. Only
+    the q-factor branch can reach clauses 3 and 4 of the module docstring.
     """
     require_own_subgroup(group, h)
 
-    def refute(lat: NormalLattice, k: int, l: int) -> str | None:
-        low, high = lat.nodes[k].order, lat.nodes[l].order
-        order = _section_order(h, lat, k, l)
-        if order == low:
-            return None  # avoided
-        factor_primes = prime_divisors(high // low)
-        if len(factor_primes) == 1:
-            q = factor_primes[0]
-            if _section_index_is_pi(group, h, lat, k, l, order, (q,)):
-                return None
-            return f"|G : N_G((H∩L)K)| is not a {q}-number"
-        cofactor = high // order
-        bad = [q for q in prime_divisors(order // low) if cofactor % q == 0]
-        if bad:
-            return f"|L : (H∩L)K| is divisible by {bad[0]}"
-        return None
+    def scan() -> Verdict:
+        lat = normal_lattice(group)
+        meet, nodes = _meet_orders(h, lat), lat.nodes
+        for k, l in lat.covers:
+            low, high = nodes[k].order, nodes[l].order
+            x = meet[l] * low // meet[k]
+            if x == low:
+                continue  # avoided
+            factor_primes = prime_divisors(high // low)
+            if len(factor_primes) == 1:
+                (q,) = factor_primes
+                if x == high or _strict_section_is_pi(group, h, lat, k, l, (q,)):
+                    continue
+                reason = f"|G : N_G((H∩L)K)| is not a {q}-number"
+            else:
+                bad = [q for q in prime_divisors(x // low) if high // x % q == 0]
+                if not bad:
+                    continue
+                reason = f"|L : (H∩L)K| is divisible by {bad[0]}"
+            return Verdict(False, refutation=Refutation(k, l, reason))
+        return Verdict(True)
 
-    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, refute))
+    return group.memo("gen_cap", h.mask, scan)
 
 
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
@@ -348,7 +330,7 @@ def recheck_witness_partial_s_pi(
     for k, l in zip(chain, chain[1:]):
         if (k, l) not in cover_set:
             return False
-        x = _section_subgroup(h, lat, k, l)
+        x = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])
         factor = lat.nodes[l].order // lat.nodes[k].order
         sylow_clause = x.order // lat.nodes[k].order == p_part(factor, p)
         index = group.order // normalizer(group, x).order

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import InvariantError
-from .groups import FiniteGroup, closure_indices, extend_closure
+from .groups import FiniteGroup, extend_closure
 
 
 def mask_from_indices(indices) -> int:
@@ -135,7 +135,8 @@ class Subgroup:
 
 def span(group: FiniteGroup, seed) -> Subgroup:
     """Smallest subgroup of ``group`` containing the seed element indices."""
-    return Subgroup(group, mask_from_indices(closure_indices(group, seed)))
+    member = extend_closure(group, np.arange(group.order) == 0, [], seed)
+    return Subgroup(group, mask_from_bool(member))
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -271,6 +272,7 @@ def is_pi_number(n: int, pi) -> bool:
     return n == 1
 
 
+@cache
 def prime_divisors(n: int) -> tuple[int, ...]:
     out = []
     d = 2
@@ -336,11 +338,26 @@ def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
     b_k. Once the digits are checked to add mod p along every generator of
     P, the labelling is a homomorphism onto F_p^d with kernel Phi; a wrong
     Phi can still give p^d cosets whose labels do not add. The functionals
-    are ordered by the position of their leading 1, then lexicographically."""
+    are ordered by the position of their leading 1, then lexicographically.
+
+    A cyclic P = <x> has exactly one maximal subgroup, <x^p> = Phi(P); it
+    is read off a walk of the powers of x^p through the table, with no Phi."""
     _require_p_group(p_subgroup, p)
     if p_subgroup.order == 1:
         return []
     group, table = p_subgroup.group, p_subgroup.group.table
+    orders = group.element_orders[p_subgroup.index_array]
+    if orders.max() == p_subgroup.order:
+        x = y = int(p_subgroup.index_array[orders.argmax()])
+        for _ in range(p - 1):
+            y = table.item(y, x)
+        mask, z = 1, y
+        while z:
+            mask |= 1 << z
+            z = table.item(z, y)
+        if mask.bit_count() * p != p_subgroup.order:
+            raise InvariantError("<x^p> is not of index p in the cyclic <x>")
+        return [Subgroup(group, mask)]
     phi = frattini_p(p_subgroup, p)
     members, label = phi.index_array, np.full(group.order, -1, dtype=np.intp)
     label[members] = 0

@@ -8,9 +8,23 @@ import pytest
 import subembed as se
 
 
+_APART_BUILT: dict = {}
+
+
+def apart_corpus(max_order, include_example_1875=False):
+    """``builtin_corpus(max_order, include_example_1875)`` over groups built
+    once for the session into a dict of their own, not ``catalog._BUILT``.
+    ``run_corpus`` releases the groups of ``_BUILT`` after each group's
+    checks, so these keep the lattices and tables they have filled whichever
+    tests ran before."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(se.catalog, "_BUILT", _APART_BUILT)
+        return se.builtin_corpus(max_order, include_example_1875=include_example_1875)
+
+
 @pytest.fixture(scope="session")
 def corpus400():
-    return se.builtin_corpus(400)
+    return apart_corpus(400)
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +87,7 @@ INVARIANTS_LATTICE = (
 
 @pytest.fixture(scope="session")
 def group1875():
-    corpus = se.builtin_corpus(1, include_example_1875=True)
-    return dict(corpus)["(C5^2xC5^2):C3"]
+    return dict(apart_corpus(1, include_example_1875=True))["(C5^2xC5^2):C3"]
 
 
 @pytest.fixture

@@ -12,7 +12,12 @@ from subembed.harness import THEOREM_IDS, run_corpus
 from subembed.subgroups import Subgroup, prime_divisors
 
 import property_checks as pc
-from conftest import brute_u_hypercentre, factor_is_abelian, soluble_by_chief_factors
+from conftest import (
+    apart_corpus,
+    brute_u_hypercentre,
+    factor_is_abelian,
+    soluble_by_chief_factors,
+)
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -102,7 +107,7 @@ def test_criterion_4_proposition_41_scan(tmp_path):
 
 
 def test_criterion_5_closure_properties():
-    corpus = se.builtin_corpus(120)
+    corpus = apart_corpus(120)
     violations = []
     for name, group in corpus:
         violations += pc.restriction_violations(group)
@@ -117,7 +122,7 @@ def test_criterion_5_closure_properties():
 
 
 def test_criterion_6_oracle_equivalences(group1875):
-    corpus = se.builtin_corpus(400)
+    corpus = apart_corpus(400)
     problems = []
 
     for name, group in corpus:
@@ -164,7 +169,7 @@ def test_criterion_6_oracle_equivalences(group1875):
 
 
 def test_criterion_7_transfer_property_suites():
-    corpus = se.builtin_corpus(200)
+    corpus = apart_corpus(200)
     violations = []
     for name, group in corpus:
         violations += pc.derived_p_nilpotency_violations(group)

@@ -15,6 +15,7 @@ from subembed.subgroups import intersect, p_part, prime_divisors
 
 from conftest import (
     INVARIANTS_LATTICE,
+    apart_corpus,
     brute_normal_masks,
     brute_u_hypercentre,
     child_f_star,
@@ -42,7 +43,7 @@ def test_sylow_orders(by_name):
 
 
 def test_sylow_full_p_part():
-    for name, group in se.builtin_corpus(120):
+    for name, group in apart_corpus(120):
         for p in prime_divisors(group.order):
             assert se.sylow(group, p).order == p_part(group.order, p)
 
@@ -103,7 +104,7 @@ def test_radicals_against_brute_force(by_name):
 def test_p_residual_is_the_least_normal_subgroup_of_p_power_index(lattice_rich_groups):
     # oracle: the lattice nodes of p-power index, the least of which must lie
     # in every other; 37 divides no order here, so O^37(G) = G
-    groups = se.builtin_corpus(120) + list(lattice_rich_groups.items())
+    groups = apart_corpus(120) + list(lattice_rich_groups.items())
     for name, group in groups:
         nodes = se.normal_lattice(group).nodes
         for p in (*prime_divisors(group.order), 37):
@@ -162,13 +163,13 @@ def test_s4_p_supersolubility(by_name):
 
 
 def test_soluble_two_routes_agree(lattice_rich_groups):
-    groups = se.builtin_corpus(120) + list(lattice_rich_groups.items())
+    groups = apart_corpus(120) + list(lattice_rich_groups.items())
     for name, group in groups:
         assert se.is_soluble(group) == soluble_by_chief_factors(group), name
 
 
 def test_nilpotency_three_ways():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         a = se.is_nilpotent(group)
         b = se.fitting(group).order == group.order
         c = se.lower_central_series(group)[-1].order == 1
@@ -189,13 +190,13 @@ def test_u_hypercentre_examples(by_name):
 
 
 def test_u_hypercentre_supersoluble_is_whole():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         if se.is_supersoluble(group):
             assert se.u_hypercentre(group).order == group.order, name
 
 
 def test_u_hypercentre_against_brute_force():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         assert se.u_hypercentre(group) == brute_u_hypercentre(group), name
 
 
@@ -227,7 +228,7 @@ def test_f_star_matches_child_group_oracle():
             ),
         ),
     }
-    groups = se.builtin_corpus(400, include_example_1875=True)
+    groups = apart_corpus(400, include_example_1875=True)
     groups += [(name, se.build(expr)) for name, expr in extra.items()]
     for name, group in groups:
         assert se.f_star(group) == child_group_f_star(group), name
@@ -237,7 +238,7 @@ def test_f_star_matches_child_group_oracle():
 
 
 def test_f_star_equals_fitting_when_soluble():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         if se.is_soluble(group):
             assert se.f_star(group) == se.fitting(group), name
         assert se.fitting(group).is_subset_of(se.f_star(group)), name
@@ -250,7 +251,7 @@ def test_nilpotent_residual_examples(by_name):
 
 
 def test_nilpotent_residual_is_smallest_with_nilpotent_quotient():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         res = se.nilpotent_residual(group)
         lat = se.normal_lattice(group)
         for node in lat.nodes:
@@ -262,7 +263,7 @@ def test_nilpotent_residual_is_smallest_with_nilpotent_quotient():
 
 
 def test_class_report_invariants():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         report = class_report(group)
         assert report.fitting.is_subset_of(report.f_star)
         assert report.centre.is_subset_of(report.hypercentre)
@@ -313,7 +314,7 @@ def _check_normal_subgroups(name, group):
 
 
 def test_lattice_structure_matches_child_group_oracles():
-    for name, group in se.builtin_corpus(120):
+    for name, group in apart_corpus(120):
         _check_group_level(name, group)
         for node in se.normal_lattice(group).nodes:
             assert u_hypercentre_over(node) == quotient_u_hypercentre_over(node), name

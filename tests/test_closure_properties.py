@@ -3,14 +3,13 @@ acceptance module)."""
 
 import pytest
 
-import subembed as se
-
 import property_checks as pc
+from conftest import apart_corpus
 
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    return se.builtin_corpus(48)
+    return apart_corpus(48)
 
 
 def test_restriction_to_normal_overgroups(small_corpus):

@@ -6,6 +6,7 @@ from subembed.embedding import recheck_witness_partial_s_pi
 from subembed.subgroups import Subgroup, mask_from_indices, prime_divisors, product_mask
 
 from conftest import (
+    apart_corpus,
     all_subgroups,
     brute_factor_centralizer_order,
     brute_partial_s_pi,
@@ -47,7 +48,7 @@ def test_whole_p_group_satisfies(by_name):
 
 
 def test_trivial_subgroup_satisfies_everything():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         trivial = Subgroup.trivial(group)
         assert se.partial_pi(group, trivial).holds
         for p in prime_divisors(group.order):
@@ -63,7 +64,7 @@ def test_partial_s_pi_requires_p_subgroup(by_name):
 
 
 def test_partial_s_pi_against_series_enumeration():
-    for name, group in se.builtin_corpus(200):
+    for name, group in apart_corpus(200):
         for p, h in se.standard_pool(group):
             got = se.partial_s_pi(group, h, p).holds
             expected = brute_partial_s_pi(group, h, p)
@@ -95,7 +96,7 @@ def test_partial_pi_against_series_enumeration():
 
     from subembed.errors import ResourceCapError
 
-    for name, group in se.builtin_corpus(48):
+    for name, group in apart_corpus(48):
         seen = set()
         for i, j in itertools.combinations(range(min(group.order, 16)), 2):
             h = se.span(group, [i, j])
@@ -110,7 +111,7 @@ def test_partial_pi_against_series_enumeration():
 
 
 def test_witnesses_revalidate():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         for p, h in se.standard_pool(group):
             verdict = se.partial_s_pi(group, h, p)
             if verdict.holds:
@@ -150,7 +151,7 @@ def test_normal_subgroup_is_gen_cap(by_name):
 
 
 def test_cap_implies_gen_cap():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         for _, h in se.standard_pool(group):
             if se.cap(group, h).holds:
                 assert se.gen_cap(group, h).holds, name
@@ -180,13 +181,13 @@ def test_normal_subgroups_are_s_quasinormal(by_name):
 
 def test_sylow_subgroups_are_s_qn_embedded():
     # a Sylow subgroup of G is a Sylow subgroup of G itself, which is normal
-    for name, group in se.builtin_corpus(48):
+    for name, group in apart_corpus(48):
         for p in prime_divisors(group.order):
             assert se.s_qn_embedded(group, se.sylow(group, p)), name
 
 
 def test_s_quasinormal_implies_product_closed_with_every_sylow():
-    for name, group in se.builtin_corpus(30):
+    for name, group in apart_corpus(30):
         for _, h in se.standard_pool(group):
             if not se.s_quasinormal(group, h):
                 continue
@@ -197,7 +198,7 @@ def test_s_quasinormal_implies_product_closed_with_every_sylow():
 
 def test_proposition_implications_small():
     # gen-cap, partial-pi and s-quasinormality each force partial-s-pi
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         for p, h in se.standard_pool(group):
             psp = se.partial_s_pi(group, h, p).holds
             if se.gen_cap(group, h).holds:
@@ -218,7 +219,7 @@ def test_trivial_group_predicates(by_name):
 
 
 def test_normal_subgroups_satisfy_partial_pi():
-    for name, group in se.builtin_corpus(48):
+    for name, group in apart_corpus(48):
         for node in se.normal_lattice(group).nodes:
             assert se.partial_pi(group, node).holds, name
 
@@ -287,15 +288,19 @@ def section_cases(corpus400, query_mix_groups):
 
 
 def test_section_order_matches_the_product(section_cases):
-    from subembed.embedding import _section_order
+    # the predicates read |H∩N| for every node N once per evaluation and
+    # take |(H∩L)K| = |H∩L|·|K|/|H∩K| on each cover (K, L)
+    from subembed.embedding import _meet_orders
     from subembed.subgroups import product_with_normal
 
     for name, group, subs in section_cases:
         lat = se.normal_lattice(group)
         for h in subs:
+            meet = _meet_orders(h, lat)
+            assert meet == [se.intersect(h, node).order for node in lat.nodes], name
             for k, l in lat.covers:
                 x = product_with_normal(se.intersect(h, lat.nodes[l]), lat.nodes[k])
-                assert _section_order(h, lat, k, l) == x.order, (name, h.order, k, l)
+                assert meet[l] * lat.nodes[k].order // meet[k] == x.order, (name, h.order, k, l)
 
 
 def _as_triple(verdict):
@@ -480,7 +485,7 @@ def small_subgroup_sets():
     """(name, group, masks of every subgroup, masks of the S-quasinormal
     ones) for each group of order at most 24, all by brute force."""
     out = []
-    for name, group in se.builtin_corpus(24):
+    for name, group in apart_corpus(24):
         subs = all_subgroups(group)
         out.append((name, group, subs, brute_s_quasinormal_masks(group, subs)))
     return out
@@ -652,3 +657,33 @@ def test_centralizer_bound_passes_on_a_point_stabilizer(expr, gens, index, monke
     group.cache.pop("partial_pi", None)
     monkeypatch.setattr(embedding, "_decided_by_centralizer", lambda *args: None)
     assert se.partial_pi(group, h) == bounded
+
+
+# SHA-256 of the json verdict rows of the test below
+CHIEF_VERDICTS_SHA256 = "9446599447fc0a22cd0d3f4903b43ded5750f93f6804161fd30020386b5e6e9b"
+
+
+def test_every_chief_series_verdict_is_pinned(corpus400, query_mix_groups, group1875):
+    # (holds, witness, refutation) of the four chief-series predicates on
+    # every standard-pool subgroup of the order-<=400 corpus, the query-mix
+    # groups and the order-1875 group
+    import hashlib
+    import json
+
+    def key(verdict):
+        ref = verdict.refutation
+        ref = ref and [ref.lower, ref.upper, ref.reason]
+        return [verdict.holds, verdict.witness and list(verdict.witness), ref]
+
+    rows = []
+    for name, group in [*corpus400, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        for p, h in se.standard_pool(group):
+            verdicts = (
+                se.partial_s_pi(group, h, p),
+                se.partial_pi(group, h),
+                se.cap(group, h),
+                se.gen_cap(group, h),
+            )
+            rows.append([name, p, h.order, *map(key, verdicts)])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 968 and digest == CHIEF_VERDICTS_SHA256

@@ -15,7 +15,13 @@ from subembed import ResourceCapError, generate_group, parse_cycles
 from subembed.catalog import EXAMPLE_1875_EXPR
 from subembed.groups import orbit_labels
 
-from conftest import raw_closure, raw_compose, raw_inverse, reference_generate_group
+from conftest import (
+    apart_corpus,
+    raw_closure,
+    raw_compose,
+    raw_inverse,
+    reference_generate_group,
+)
 
 
 def test_s3_from_standard_generators():
@@ -90,7 +96,7 @@ def test_commutators_match_row_composition(corpus400):
 
 
 def test_identity_is_index_zero():
-    for _, group in se.builtin_corpus(60):
+    for _, group in apart_corpus(60):
         assert group.perm(0).is_identity()
 
 
@@ -145,7 +151,7 @@ def test_class_equation(by_name):
         identity_class = group.conjugacy_classes()[0]
         assert list(identity_class) == [0]
     # oracle: each class is {g^-1 x g : g in G}, composed on raw image tuples
-    for name, group in se.builtin_corpus(60) + [("S5", se.build(se.Sym(5)))]:
+    for name, group in apart_corpus(60) + [("S5", se.build(se.Sym(5)))]:
         perms = [group.perm(i).images for i in range(group.order)]
         index = {row: i for i, row in enumerate(perms)}
         inverses = [raw_inverse(p) for p in perms]
@@ -159,7 +165,7 @@ def test_class_equation(by_name):
 
 
 def test_order_divides_degree_factorial():
-    for name, group in se.builtin_corpus(120):
+    for name, group in apart_corpus(120):
         assert math.factorial(group.degree) % group.order == 0
 
 
@@ -183,7 +189,7 @@ def test_cyclic_closure_is_the_power_walk():
     # powers of g under tuple composition, and g the one generator kept
     from subembed.groups import closure_indices, extend_closure
 
-    groups = [g for _, g in se.builtin_corpus(60)]
+    groups = [g for _, g in apart_corpus(60)]
     groups += [se.build(se.Sym(6)), se.build(se.Direct(se.SL23(), se.Sym(4)))]
     for group in groups:
         images = [group.perm(i).images for i in range(group.order)]
@@ -264,7 +270,7 @@ def _degenerate_generator_lists():
 
 
 def test_table_matches_row_composition():
-    groups = [g for _, g in se.builtin_corpus(48)] + [se.build(se.Sym(6))]
+    groups = [g for _, g in apart_corpus(48)] + [se.build(se.Sym(6))]
     groups += [generate_group(gens, degree) for gens, degree in _degenerate_generator_lists()]
     for group in groups:
         _assert_table_rows(group, range(group.order))

@@ -19,6 +19,8 @@ from subembed.harness import (
     standard_pool,
 )
 
+from conftest import apart_corpus
+
 
 def run_all(theorem_id, group):
     insts, truncated = instances(theorem_id, group)
@@ -139,7 +141,7 @@ def test_resolve_theorem_ids():
 
 
 def test_verdict_invariant():
-    for name, group in se.builtin_corpus(24):
+    for name, group in apart_corpus(24):
         for tid in THEOREM_IDS:
             insts, _ = run_all(tid, group)
             for inst in insts:

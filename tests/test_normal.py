@@ -8,6 +8,7 @@ from subembed.subgroups import Subgroup, indices_from_mask, normal_closure_in
 
 from conftest import (
     INVARIANTS_LATTICE,
+    apart_corpus,
     brute_covers,
     brute_normal_masks,
     factor_is_abelian,
@@ -94,7 +95,7 @@ def test_class_closures_are_normal_closures(corpus400, query_mix_groups):
 
 
 def test_lattice_nodes_are_conjugation_invariant():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         for node in se.normal_lattice(group).nodes:
             assert node.is_normal(), (name, node.order)
 
@@ -115,7 +116,7 @@ def test_covers_have_empty_interval(by_name):
 def test_covers_match_brute_force_pass(lattice_rich_groups):
     c2_4 = se.build(se.ElemAbelian(2, 4))
     rich = [(n, lattice_rich_groups[n]) for n in EQUAL_ORDER_RICH]
-    for name, group in se.builtin_corpus(60) + [("C2^4", c2_4)] + rich:
+    for name, group in apart_corpus(60) + [("C2^4", c2_4)] + rich:
         lat = se.normal_lattice(group)
         keys = [(n.order, n.indices) for n in lat.nodes]
         assert keys == sorted(keys), name
@@ -317,7 +318,7 @@ def test_is_chief_factor(by_name):
 
 
 def test_factor_orders_multiply_to_group_order():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         try:
             series = se.chief_series_enumerate(group, 200)
         except ResourceCapError:
@@ -347,7 +348,7 @@ def test_lattice_node_cap():
 
 
 def test_jordan_holder_small():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         try:
             series = se.chief_series_enumerate(group, 200)
         except ResourceCapError:
@@ -368,7 +369,7 @@ def test_jordan_holder_small():
 
 
 def test_socle_is_product_of_minimal_normals():
-    for name, group in se.builtin_corpus(60):
+    for name, group in apart_corpus(60):
         if group.order == 1:
             continue
         soc = socle(group)

@@ -20,7 +20,7 @@ from subembed.subgroups import (
     product_mask,
 )
 
-from conftest import raw_closure, row_closure, row_lookup
+from conftest import apart_corpus, raw_closure, row_closure, row_lookup
 
 
 def idx(group, text):
@@ -142,7 +142,7 @@ def test_product_mask_is_the_raw_product_set(corpus400, group1875):
     b = se.span(s3, [idx(s3, "(1 3)")])
     assert product_mask(a, b) != product_mask(b, a)
     assert _raw_product_matches(a, b) and _raw_product_matches(b, a)
-    for _, group in se.builtin_corpus(24):
+    for _, group in apart_corpus(24):
         subs = {n.mask: n for n in se.normal_lattice(group).nodes}
         subs.update((sub.mask, sub) for _, sub in se.standard_pool(group))
         for x in subs.values():
@@ -447,7 +447,7 @@ def _greedy_closure(group, seed):
 @given(st.data())
 def test_one_pass_span_matches_greedy_closure(data):
     name = data.draw(st.sampled_from(["S4", "A5", "SL(2,3)", "D16", "C7:C3"]))
-    group = dict(se.builtin_corpus(400))[name]
+    group = dict(apart_corpus(400))[name]
     seed = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
     sub = se.span(group, seed)
     _, have = _greedy_closure(group, seed)
@@ -547,7 +547,7 @@ def test_maximal_subgroups_match_hyperplane_kernels():
             ("S4xC2^3", se.Direct(se.Sym(4), se.ElemAbelian(2, 3))),
         )
     ]
-    for groups, expected in ((se.builtin_corpus(120), 255), (wide, 12)):
+    for groups, expected in ((apart_corpus(120), 255), (wide, 12)):
         checked = 0
         for name, group in groups:
             for p in prime_divisors(group.order):
@@ -562,14 +562,33 @@ def test_maximal_subgroups_match_hyperplane_kernels():
 
 
 def test_maximal_subgroups_raise_when_frattini_is_too_small(by_name, monkeypatch):
-    # over the trivial subgroup the coset labels of C4, Q8, D8 and C9 still
-    # count p^d elements, but they are not a homomorphism onto F_p^d
+    # over the trivial subgroup the coset labels of C4xC2, Q8, D8 and C9xC3
+    # still count p^d elements, but they are not a homomorphism onto F_p^d
+    # (a cyclic P takes the power walk and never builds Phi)
     monkeypatch.setattr(
         se.subgroups, "frattini_p", lambda p_subgroup, p: Subgroup.trivial(p_subgroup.group)
     )
-    for name, p in (("C4", 2), ("Q8", 2), ("D8", 2), ("C9", 3)):
+    c9xc3 = se.build(se.Direct(se.Cyclic(9), se.Cyclic(3)))
+    for group, p in ((by_name["C4xC2"], 2), (by_name["Q8"], 2), (by_name["D8"], 2), (c9xc3, 3)):
         with pytest.raises(InvariantError):
-            se.p_group_maximal_subgroups(Subgroup.whole(by_name[name]), p)
+            se.p_group_maximal_subgroups(Subgroup.whole(group), p)
+
+
+def test_cyclic_maximal_subgroup_is_the_frattini_subgroup(corpus400, query_mix_groups, group1875):
+    # a cyclic p-subgroup of a standard pool has one maximal subgroup, <x^p>,
+    # which is its Frattini subgroup and has index p
+    from subembed.subgroups import frattini_p, is_cyclic_subgroup, prime_divisors
+
+    checked = 0
+    for name, group in [*corpus400, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        for p, h in se.standard_pool(group):
+            if h.order == 1 or not is_cyclic_subgroup(h):
+                continue
+            assert prime_divisors(h.order) == (p,), name
+            (m,) = se.p_group_maximal_subgroups(h, p)
+            assert m == frattini_p(h, p) and m.order * p == h.order, (name, h.order)
+            checked += 1
+    assert checked == 563
 
 
 def test_gens_raise_invariant_error_when_the_closure_drops_an_element(closure_drops_an_element):

@@ -7,6 +7,8 @@ sympy_groups = pytest.importorskip("sympy.combinatorics")
 import subembed as se
 from subembed.subgroups import derived_of_subgroup, normal_closure_in
 
+from conftest import apart_corpus
+
 
 def as_sympy(group):
     gens = [sympy_groups.Permutation([int(x) for x in group.rows[i]]) for i in group.gen_indices]
@@ -20,7 +22,7 @@ def indices_of(group, perms):
 
 @pytest.fixture(scope="module")
 def corpus60():
-    return [(name, group, as_sympy(group)) for name, group in se.builtin_corpus(60)]
+    return [(name, group, as_sympy(group)) for name, group in apart_corpus(60)]
 
 
 def test_conjugacy_classes_match_sympy(corpus60):
