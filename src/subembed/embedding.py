@@ -168,19 +168,20 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     H must be a p-subgroup of G.
     """
     require_own_subgroup(group, h)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p_part(h.order, p) != h.order:
-        raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
 
     def strict_ok(lat: NormalLattice, k: int, l: int, x: int) -> bool:
         if lat.nodes[l].order // x % p:
             return True  # X/K is a p-group of p'-index in L/K: a Sylow subgroup
         return _strict_section_is_pi(group, h, lat, k, l, (p,))
 
-    return group.memo(
-        "partial_s_pi", (h.mask, p), lambda: _some_chief_series(group, h, strict_ok)
-    )
+    def search() -> Verdict:  # a stored (mask, p) passed these checks
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p_part(h.order, p) != h.order:
+            raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
+        return _some_chief_series(group, h, strict_ok)
+
+    return group.memo("partial_s_pi", (h.mask, p), search)
 
 
 def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:

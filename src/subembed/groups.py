@@ -102,12 +102,12 @@ class FiniteGroup:
         ``compute()`` on a miss.
 
         Every keyed per-group cache goes through here. Values are never None.
-        Callers validate their inputs first, since a hit skips ``compute``.
-        Add a section only where its hits pay: a value asked for about once
-        per key, or about as cheap to recompute as to look up, is computed
-        directly.
+        A hit skips ``compute``: check first what the key does not hold (whose
+        group a subgroup is); what a stored key passed may be checked in
+        ``compute``. Add a section only where its hits pay: a value asked for
+        about once per key, or as cheap to recompute as to look up, is not.
         """
-        table = self.cache.setdefault(section, {})
+        table = self.cache.get(section) or self.cache.setdefault(section, {})
         got = table.get(key)
         if got is None:
             got = table[key] = compute()

@@ -14,6 +14,8 @@ from .perms import Permutation
 from .subgroups import Subgroup, indices_from_mask, product_mask, span
 
 DEFAULT_NODE_CAP = 4096
+_JOIN_ENTRIES = 25_000_000  # entries of a block of joins: one product_mask block's bound
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits of each byte reversed
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,13 @@ def normal_lattice(group: FiniteGroup, node_cap: int = DEFAULT_NODE_CAP) -> Norm
 def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     # every normal subgroup is a join of normal closures of conjugacy classes,
     # so joining each closure into every node found before it reaches them all;
-    # the normal closure of x is the span of the class of x
-    closures = sorted({span(group, cls).mask for cls in group.conjugacy_classes()})
-    # ids follow discovery: masks[i] is node i and subs[i] its one Subgroup,
-    # kept for the whole build so that its index array is made once; sup[i]
-    # is the bitset of ids of the nodes containing node i, i included, and
-    # at_order[o] that of the nodes of order o; placed holds the ids of the
-    # joined closures
-    masks, subs, sup, at_order, placed = [1], [Subgroup.trivial(group)], [1], {1: 1}, []
+    # the normal closure of x is the span of the class of x. In (order, mask)
+    # order a closure that is a join of smaller ones is a node when it comes
+    closures = {span(group, cls).mask for cls in group.conjugacy_classes()}
+    # ids follow discovery: node i is masks[i], and id_of[masks[i]] = i; sup[i] is
+    # the bitset of ids of the nodes containing node i, i included, at_order[o]
+    # that of the nodes of order o; placed holds the ids of the joined closures
+    masks, id_of, sup, at_order, placed = [1], {1: 0}, [1], {1: 1}, []
 
     def add(x: int, over: int) -> None:
         # ``over`` holds the nodes containing x. Each node is the join of the
@@ -86,26 +87,28 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
         for j in indices_from_mask(((1 << t) - 1) & ~outside):
             sup[j] |= 1 << t
         masks.append(x)
-        subs.append(Subgroup(group, x))
+        id_of[x] = t
         sup.append(over | (1 << t))
         at_order[x.bit_count()] = at_order.get(x.bit_count(), 0) | (1 << t)
         if len(masks) > node_cap:
             raise ResourceCapError("normal lattice node cap exceeded", len(masks))
 
-    for c in closures:
-        # a node of the join's order containing both is the join, so product_mask
-        # runs only for new joins; a closure that is a node adds no new join
-        over = sum(1 << j for j, m in enumerate(masks) if m & c == c)
-        if over & at_order.get(c.bit_count(), 0):
+    for c in sorted(closures, key=lambda m: (m.bit_count(), m)):
+        if c in id_of:
             continue
-        found = len(masks)
-        add(c, over)
+        found, size = len(masks), c.bit_count()
+        add(c, sum(1 << j for j, m in enumerate(masks) if m & c == c))
         placed.append(found)
+        # a node of the join's order containing both is the join, so only new
+        # joins are multiplied out, all of the round's at once; two may be equal
+        need, above_c = [], sup[found]
         for m in range(1, found):
-            both = sup[m] & sup[found]
-            order = masks[m].bit_count() * c.bit_count() // (masks[m] & c).bit_count()
-            if not both & at_order.get(order, 0):
-                add(product_mask(subs[m], subs[found]), both)
+            order = masks[m].bit_count() * size // (masks[m] & c).bit_count()
+            if not sup[m] & above_c & at_order.get(order, 0):
+                need.append((m, order))
+        for (m, _), x in zip(need, _joins(group, masks, need, c)):
+            if x not in id_of:
+                add(x, sup[m] & sup[found])
 
     # sorted id k is discovery id rank[k]; the cover scan reads the
     # discovery-id bitsets and maps only the covers it finds to sorted ids
@@ -116,11 +119,9 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
     above = {o: [q for q in orders if q > o and q % o == 0] for o in orders}
     up: dict[int, tuple[int, ...]] = {}
     for k, d in enumerate(rank):
-        # the least-order nodes left above d are covers of d: a node strictly
-        # between would be left too, with a smaller order. Striking off their
-        # up-sets keeps every other cover of d and drops every node above
-        # them, so the least order left is again covers. That is one big-int
-        # step per order class and per cover, not one per comparable pair
+        # the least-order nodes left above d cover d (a node between would be
+        # left too, with a smaller order); striking off their up-sets drops all
+        # above them but no other cover: one big-int step per order and cover
         rest, got = sup[d] ^ (1 << d), []
         for o in above[masks[d].bit_count()]:
             if least := rest & at_order[o]:
@@ -131,16 +132,34 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
                     break
         up[k] = tuple(sorted(got))
     covers = tuple((k, l) for k in up for l in up[k])
-    nodes = tuple(subs[i] for i in rank)
+    nodes = tuple(Subgroup(group, masks[i]) for i in rank)
     return NormalLattice(group, nodes, covers, up, {s.mask: k for k, s in enumerate(nodes)})
 
 
+def _joins(group: FiniteGroup, masks: list[int], need: list[tuple[int, int]], c: int):
+    """Yield the mask of m·c for each (m, |m·c|) in ``need``, m the node ``masks[m]``
+    and c normal: a block of joins from one table gather, sizes checked as in product_mask."""
+    width, right = (group.order + 7) // 8, Subgroup(group, c).index_array
+    step = max(1, _JOIN_ENTRIES // (group.order * (len(right) + 1)))  # |G| + |m||c| a row
+    for block in (need[i : i + step] for i in range(0, len(need), step)):
+        packed = b"".join(masks[m].to_bytes(width, "little") for m, _ in block)
+        bits = np.frombuffer(packed, np.uint8).reshape(len(block), width)
+        rows, left = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
+        member = np.zeros((len(block), group.order), dtype=bool)
+        member[rows[:, None], group.table[left[:, None], right]] = True
+        for (_, order), row in zip(block, np.packbits(member, axis=1, bitorder="little")):
+            if (x := int.from_bytes(row.tobytes(), "little")).bit_count() != order:
+                raise InvariantError("product size violates |A||B|/|A∩B|")
+            yield x
+
+
 def _sort_key(mask: int, width: int) -> tuple[int, int]:
-    """A key that sorts the masks of subgroups of a group of order ``width``
-    as (order, member indices) does, without building the indices. Of two
-    masks of one order, the lowest bit where they differ belongs to the one
-    that sorts first; reversing ``width`` bits makes that bit the highest."""
-    return mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2)
+    """A key that sorts the masks of subgroups of a group of order ``width`` as
+    (order, member indices) does, without the indices: of two masks of one order
+    the one with the lowest differing bit sorts first, and reversing ``width``
+    bits (bytes by ``_REVERSED``, the padding shifted out) makes it the highest."""
+    reversed_bytes = mask.to_bytes((width + 7) // 8, "little").translate(_REVERSED)
+    return mask.bit_count(), -(int.from_bytes(reversed_bytes, "big") >> -width % 8)
 
 
 @dataclass(frozen=True)

@@ -151,11 +151,11 @@ def product_mask(a: Subgroup, b: Subgroup) -> int:
     One broadcast gather from the Cayley table, the column of A's indices
     against the row of B's: entry (i, j) of the |A|×|B| block is a_i*b_j.
     Both index arrays are cached on the Subgroup objects, so a caller that
-    keeps its objects (the lattice build keeps one per node) builds each
-    once. The block holds |A||B| = |AB|·|A∩B| indices for as long as the
-    call runs: at most 25M two-byte entries at the default order cap, next
-    to the 200 MB table itself. The size of the result is checked against
-    |A||B|/|A∩B|.
+    keeps its objects builds each once. The block holds |A||B| = |AB|·|A∩B|
+    indices while the call runs: at most 25M two-byte entries at the default
+    order cap, next to the 200 MB table. The result's size is checked
+    against |A||B|/|A∩B|. The lattice build gathers its joins in blocks of
+    the same bound (``normal._joins``).
     """
     if a.group is not b.group:
         raise ValueError("subgroups have different parent groups")

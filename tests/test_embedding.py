@@ -63,6 +63,24 @@ def test_partial_s_pi_requires_p_subgroup(by_name):
         se.partial_s_pi(s4, Subgroup.trivial(s4), 4)
 
 
+def test_partial_s_pi_checks_its_input_around_the_memo(monkeypatch):
+    # the (mask, p) memo is read before p is checked: a stored key passed the
+    # checks, a new p is checked on its miss, and the group is checked first
+    import subembed.embedding as embedding
+
+    s4, other = se.build(se.Sym(4)), se.build(se.Sym(4))
+    h = se.sylow(s4, 2)
+    assert se.partial_s_pi(s4, h, 2).holds
+    for p in (4, 3):  # not prime; prime, but H is a 2-group
+        with pytest.raises(ValueError):
+            se.partial_s_pi(s4, h, p)
+    with pytest.raises(ValueError, match="different parent group"):
+        se.partial_s_pi(s4, Subgroup(other, h.mask), 2)
+    calls = []
+    monkeypatch.setattr(embedding, "is_prime", lambda p: calls.append(p) or True)
+    assert se.partial_s_pi(s4, h, 2).holds and calls == []
+
+
 def test_partial_s_pi_against_series_enumeration():
     for name, group in apart_corpus(200):
         for p, h in se.standard_pool(group):

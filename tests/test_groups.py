@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -453,28 +454,35 @@ def test_lookup_rows_rejects_rows_outside_the_group():
             a5.lookup_rows(odd[None, :])
 
 
-def test_import_does_not_load_concurrent_futures():
-    # the corpus runs in one thread, so nothing needs the executor machinery
+@pytest.fixture(scope="module")
+def fresh_modules():
+    """``sys.modules`` of a fresh interpreter, as sorted name lists: after
+    ``import subembed``, and after engine and lattice work on top of it (the
+    lattice of C2^4 runs the batched join gather)."""
     code = (
-        "import sys\n"
-        "import subembed\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
-
-
-def test_engine_does_not_import_numpy_ma():
-    # numpy.ma costs about 1.6 MB of peak memory when first imported
-    code = (
-        "import sys\n"
+        "import json, sys\n"
         "import subembed as se\n"
+        "imported = sorted(sys.modules)\n"
         "g = se.build(se.Sym(5))\n"
         "g.mult(3, 4); g.element_orders; g.conjugacy_classes()\n"
         "se.normal_lattice(g); se.span(g, [1, 2]).gens\n"
-        "assert 'numpy.ma' not in sys.modules\n"
+        "assert len(se.normal_lattice(se.build(se.ElemAbelian(2, 4))).nodes) == 67\n"
+        "print(json.dumps({'import': imported, 'work': sorted(sys.modules)}))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, env=env, timeout=120, capture_output=True, text=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_does_not_load_concurrent_futures(fresh_modules):
+    # the corpus runs in one thread, so nothing needs the executor machinery
+    assert "concurrent.futures" not in fresh_modules["import"]
+    assert "concurrent.futures" not in fresh_modules["work"]
+
+
+def test_engine_does_not_import_numpy_ma(fresh_modules):
+    # numpy.ma costs about 1.6 MB of peak memory when first imported
+    assert "numpy.ma" not in fresh_modules["work"]

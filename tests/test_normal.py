@@ -119,7 +119,7 @@ def test_covers_match_brute_force_pass(lattice_rich_groups):
     for name, group in apart_corpus(60) + [("C2^4", c2_4)] + rich:
         lat = se.normal_lattice(group)
         keys = [(n.order, n.indices) for n in lat.nodes]
-        assert keys == sorted(keys), name
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), name
         expected = brute_covers(lat.nodes)
         assert list(lat.covers) == expected, name
         for k in range(len(lat.nodes)):
@@ -178,14 +178,16 @@ def test_lattice_rich_covers_match_the_matrix_oracle(lattice_rich_groups):
     for name, group in lattice_rich_groups.items():
         lat = se.normal_lattice(group)
         keys = [(n.order, n.indices) for n in lat.nodes]
-        assert keys == sorted(keys), name
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), name
         expected = matrix_covers(lat.nodes)
         assert list(lat.covers) == expected, name
         for k in range(len(lat.nodes)):
             assert lat.up[k] == tuple(l for kk, l in expected if kk == k), (name, k)
 
 
-@pytest.mark.parametrize("width", [5, 13, 24, 64, 97, 216])
+# 1875 is the order of the largest group standard_pool sorts; 257 is not a
+# multiple of 8, so its top byte is padded before the bytewise reversal
+@pytest.mark.parametrize("width", [5, 13, 24, 64, 97, 216, 257, 1875])
 def test_sort_key_orders_masks_as_order_and_indices(width):
     from subembed.normal import _sort_key
 
@@ -198,6 +200,9 @@ def test_sort_key_orders_masks_as_order_and_indices(width):
     rng.shuffle(masks)
     want = sorted(masks, key=lambda m: (m.bit_count(), indices_from_mask(m)))
     assert sorted(masks, key=lambda m: _sort_key(m, width)) == want
+    # the key holds exactly ``width`` reversed bits: bit i goes to width - 1 - i
+    assert _sort_key(1, width) == (1, -(1 << (width - 1)))
+    assert _sort_key(1 << (width - 1), width) == (1, -1)
 
 
 def test_minimal_normals_a4(by_name):
@@ -345,6 +350,62 @@ def test_lattice_node_cap():
     with pytest.raises(ResourceCapError) as joins:
         se.normal_lattice(se.build(se.ElemAbelian(2, 4)), node_cap=40)
     assert joins.value.reached == 41
+
+
+def test_lattice_node_cap_inside_a_round(monkeypatch):
+    # C2^5 has 374 nodes; node 101 is one of the joins of a closure's round,
+    # so the build stops between two joins of one gathered block
+    import subembed.normal as normal
+
+    rounds = []
+    real = normal._joins
+
+    def counting(group, masks, need, c):
+        rounds.append([len(need), 0])
+        for x in real(group, masks, need, c):
+            rounds[-1][1] += 1
+            yield x
+
+    monkeypatch.setattr(normal, "_joins", counting)
+    group = se.build(se.ElemAbelian(2, 5))
+    with pytest.raises(ResourceCapError) as capped:
+        se.normal_lattice(group, node_cap=100)
+    assert capped.value.reached == 101
+    need, taken = rounds[-1]
+    assert 0 < taken < need
+    assert len(se.normal_lattice(group).nodes) == 374
+
+
+@pytest.mark.parametrize("entries", [1, 3000])
+def test_lattice_is_the_same_in_smaller_join_blocks(lattice_rich_groups, monkeypatch, entries):
+    # 1 entry gives one join per block; 3000 gives blocks of 7 to 10 joins
+    # of C2^5xC3 (order 96) with closures of order 2 and 3
+    import subembed.normal as normal
+
+    group = lattice_rich_groups["C2^5xC3"]
+    whole = normal._build_lattice(group, normal.DEFAULT_NODE_CAP)
+    monkeypatch.setattr(normal, "_JOIN_ENTRIES", entries)
+    blocks = normal._build_lattice(group, normal.DEFAULT_NODE_CAP)
+    assert (len(blocks.nodes), len(blocks.covers)) == (748, 4528)
+    assert [n.mask for n in blocks.nodes] == [n.mask for n in whole.nodes]
+    assert blocks.covers == whole.covers and blocks.up == whole.up
+    assert blocks.node_by_mask == whole.node_by_mask
+
+
+def test_lattice_build_checks_the_size_of_each_join(monkeypatch):
+    # with the product of elements 1 and 2 of C2^3 read as the identity, the
+    # join of <1> and <2> has 3 elements instead of 4; the closures are built
+    # from the true table first
+    from subembed import InvariantError
+
+    group = se.build(se.ElemAbelian(2, 3))
+    closures = {tuple(cls): se.span(group, cls) for cls in group.conjugacy_classes()}
+    bad = group.table.copy()
+    bad[1, 2] = bad[2, 1] = 0
+    vars(group)["table"] = bad
+    monkeypatch.setattr(se.normal, "span", lambda g, cls: closures[tuple(cls)])
+    with pytest.raises(InvariantError, match="product size"):
+        se.normal_lattice(group)
 
 
 def test_jordan_holder_small():
