@@ -16,15 +16,18 @@ those counts and the node orders, clause by clause in this order:
 
 1. K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup
    strictly between them that is not normal. X = K means H∩L ≤ K (the
-   factor is avoided); X = K or X = L is normal, with normalizer index 1.
-   On a prime-order factor no other case arises.
-2. For a p-subgroup H, X/K is a p-group, so it is a Sylow p-subgroup of
-   L/K iff p does not divide |L : X|.
-3. A section strictly between K and L is tested against |G : C| for
-   C = C_G(L/K), one number per cover. C normalizes X: for g ∈ C and x ∈ X,
-   x^g ∈ xK ⊆ X. X is not normal, as L/K is a chief factor, so |G : N_G(X)|
-   is a divisor of |G : C| above 1: it is a pi-number when every prime of
-   |G : C| is in pi, and not one when none is.
+   factor is avoided); X = K or X = L is normal, with normalizer index 1,
+   and passes in both evaluators. On a prime-order factor no other X arises.
+2. A strict section X is judged by two tests:
+   - Hall: no prime of |X : K| divides |L : X| (for a p-group X/K: Sylow);
+   - pi-normalizer: |G : N_G(X)| is a pi(X/K)-number.
+   ``partial_s_pi`` asks for either, ``partial_pi`` for pi-normalizer,
+   ``gen_cap`` for pi-normalizer on an abelian factor and Hall on a
+   non-abelian one; ``cap`` fails every strict section.
+3. The pi-normalizer test first reads |G : C| for C = C_G(L/K), one number
+   per cover. C normalizes X (x^g ∈ xK ⊆ X for g ∈ C and x ∈ X) and X is
+   not normal, so |G : N_G(X)| is a divisor of |G : C| above 1: a pi-number
+   when every prime of |G : C| is in pi, and not one when none is.
 4. Only when |G : C| has primes both in and outside pi is X built as a
    product and its normalizer scanned. ``recheck_witness_partial_s_pi``
    builds and scans every section, as an independent check.
@@ -40,6 +43,7 @@ compared with the Sylow conjugates as product sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -120,22 +124,32 @@ def _decided_by_centralizer(group: FiniteGroup, lat: NormalLattice, k: int, l: i
     return None
 
 
-def _strict_section_is_pi(group, h, lat, k: int, l: int, pi) -> bool:
-    """|G : N_G(X)| a pi-number for X = (H∩L)K strictly between K and L:
-    the bound of clause 3 of the module docstring, else the scan of clause 4.
-    N_G(X)/K = N_{G/K}(X/K), so the index in G is the index upstairs."""
+def _non_hall_prime(lat: NormalLattice, k: int, l: int, x: int) -> int | None:
+    """The Hall test of clause 2 on a section of order x: the least prime of
+    |X : K| that divides |L : X|, or None when X/K is a Hall subgroup of L/K."""
+    index = lat.nodes[l].order // x
+    for q in prime_divisors(x // lat.nodes[k].order):
+        if index % q == 0:
+            return q
+    return None
+
+
+def _normalizer_is_pi(group, h, lat, k: int, l: int, x: int) -> bool:
+    """The pi-normalizer test on X = (H∩L)K of order x: clause 3, else clause
+    4. N_G(X)/K = N_{G/K}(X/K), so the index in G is the index upstairs."""
+    pi = prime_divisors(x // lat.nodes[k].order)
     decided = _decided_by_centralizer(group, lat, k, l, pi)
     if decided is not None:
         return decided
-    x = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])  # K is normal
-    return is_pi_number(group.order // normalizer(group, x).order, pi)
+    section = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])  # K is normal
+    return is_pi_number(group.order // normalizer(group, section).order, pi)
 
 
-def _some_chief_series(group: FiniteGroup, h: Subgroup, strict_ok) -> Verdict:
+def _some_chief_series(group: FiniteGroup, h: Subgroup, passes) -> Verdict:
     """Some chief series passes on every factor: a reachability search from
     the trivial node to the top along passing cover pairs, returning the
     first path found as the witness. A cover (K, L) passes when its section
-    X = (H∩L)K is K or L, else when ``strict_ok(lat, k, l, |X|)`` holds."""
+    X = (H∩L)K is K or L, else when ``passes(lat, k, l, |X|)`` holds."""
     lat = normal_lattice(group)
     meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
     parent, frontier, top = {0: None}, [0], lat.top
@@ -146,7 +160,7 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, strict_ok) -> Verdict:
                 if upper in parent:
                     continue
                 x = meet[upper] * orders[node] // meet[node]
-                if x not in (orders[node], orders[upper]) and not strict_ok(lat, node, upper, x):
+                if x != orders[node] and x != orders[upper] and not passes(lat, node, upper, x):
                     continue
                 parent[upper] = node
                 if upper == top:
@@ -161,25 +175,36 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, strict_ok) -> Verdict:
     return Verdict(False)
 
 
+def _every_chief_factor(group: FiniteGroup, h: Subgroup, fails) -> Verdict:
+    """Every chief factor passes: a scan of the cover pairs that reports the
+    first failing one. A cover (K, L) passes when its section X = (H∩L)K is
+    K or L, else when ``fails(lat, k, l, |X|)`` gives no reason."""
+    lat = normal_lattice(group)
+    meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
+    for k, l in lat.covers:
+        x = meet[l] * orders[k] // meet[k]
+        if x != orders[k] and x != orders[l] and (reason := fails(lat, k, l, x)) is not None:
+            return Verdict(False, refutation=Refutation(k, l, reason))
+    return Verdict(True)
+
+
 def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     """True iff some chief series of G has, on every factor L/K, either
     (H∩L)K/K a Sylow p-subgroup of L/K, or |G : N_G((H∩L)K)| a p-number.
 
-    H must be a p-subgroup of G.
+    H must be a p-subgroup of G, so pi((H∩L)K/K) = {p} and Sylow is Hall.
     """
     require_own_subgroup(group, h)
 
-    def strict_ok(lat: NormalLattice, k: int, l: int, x: int) -> bool:
-        if lat.nodes[l].order // x % p:
-            return True  # X/K is a p-group of p'-index in L/K: a Sylow subgroup
-        return _strict_section_is_pi(group, h, lat, k, l, (p,))
+    def passes(lat: NormalLattice, k: int, l: int, x: int) -> bool:
+        return _non_hall_prime(lat, k, l, x) is None or _normalizer_is_pi(group, h, lat, k, l, x)
 
     def search() -> Verdict:  # a stored (mask, p) passed these checks
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p_part(h.order, p) != h.order:
             raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
-        return _some_chief_series(group, h, strict_ok)
+        return _some_chief_series(group, h, passes)
 
     return group.memo("partial_s_pi", (h.mask, p), search)
 
@@ -190,11 +215,8 @@ def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     an avoided factor forces X = K, normal of index 1."""
     require_own_subgroup(group, h)
 
-    def strict_ok(lat: NormalLattice, k: int, l: int, x: int) -> bool:
-        pi = prime_divisors(x // lat.nodes[k].order)
-        return _strict_section_is_pi(group, h, lat, k, l, pi)
-
-    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, h, strict_ok))
+    passes = partial(_normalizer_is_pi, group, h)
+    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, h, passes))
 
 
 def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -202,56 +224,33 @@ def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
 
     Both clauses are order tests on X = (H∩L)K. H∩L <= K iff H∩L = H∩K iff
     |X| = |K|. Since K <= L, Dedekind's law gives HK ∩ L = (H∩L)K, so
-    L <= HK iff X = L iff |X| = |L|. No product is built.
+    L <= HK iff X = L iff |X| = |L|: every strict section fails.
     """
     require_own_subgroup(group, h)
 
-    def scan() -> Verdict:
-        lat = normal_lattice(group)
-        meet, nodes = _meet_orders(h, lat), lat.nodes
-        for k, l in lat.covers:
-            # avoided: |H∩L| = |H∩K|; covered: |X| = |H∩L||K|/|H∩K| = |L|
-            if meet[l] != meet[k] and meet[l] * nodes[k].order != meet[k] * nodes[l].order:
-                return Verdict(False, refutation=Refutation(k, l, "neither covers nor avoids"))
-        return Verdict(True)
+    def fails(lat: NormalLattice, k: int, l: int, x: int) -> str:
+        return "neither covers nor avoids"
 
-    return group.memo("cap", h.mask, scan)
+    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, h, fails))
 
 
 def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     """Generalized cover-avoidance: every chief factor is avoided, or
     (q-group factor) |G : N_G((H∩L)K)| is a q-number, or (non-abelian
-    factor) |L : (H∩L)K| is coprime to every prime of (H∩L)K/K.
-
-    A chief factor is abelian exactly when its order is a prime power, so
-    the two non-avoided branches are distinguished by the factor order. Only
-    the q-factor branch can reach clauses 3 and 4 of the module docstring.
-    """
+    factor) |L : (H∩L)K| is coprime to every prime of (H∩L)K/K. A chief
+    factor is abelian exactly when its order is a prime power."""
     require_own_subgroup(group, h)
 
-    def scan() -> Verdict:
-        lat = normal_lattice(group)
-        meet, nodes = _meet_orders(h, lat), lat.nodes
-        for k, l in lat.covers:
-            low, high = nodes[k].order, nodes[l].order
-            x = meet[l] * low // meet[k]
-            if x == low:
-                continue  # avoided
-            factor_primes = prime_divisors(high // low)
-            if len(factor_primes) == 1:
-                (q,) = factor_primes
-                if x == high or _strict_section_is_pi(group, h, lat, k, l, (q,)):
-                    continue
-                reason = f"|G : N_G((H∩L)K)| is not a {q}-number"
-            else:
-                bad = [q for q in prime_divisors(x // low) if high // x % q == 0]
-                if not bad:
-                    continue
-                reason = f"|L : (H∩L)K| is divisible by {bad[0]}"
-            return Verdict(False, refutation=Refutation(k, l, reason))
-        return Verdict(True)
+    def fails(lat: NormalLattice, k: int, l: int, x: int) -> str | None:
+        factor_primes = prime_divisors(lat.nodes[l].order // lat.nodes[k].order)
+        if len(factor_primes) == 1:  # a q-group factor: pi((H∩L)K/K) = {q}
+            if not _normalizer_is_pi(group, h, lat, k, l, x):
+                return f"|G : N_G((H∩L)K)| is not a {factor_primes[0]}-number"
+        elif (q := _non_hall_prime(lat, k, l, x)) is not None:
+            return f"|L : (H∩L)K| is divisible by {q}"
+        return None
 
-    return group.memo("gen_cap", h.mask, scan)
+    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, h, fails))
 
 
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:

@@ -154,7 +154,7 @@ def _noncyclic_sylows_of_x(group: FiniteGroup, b: dict) -> bool:
 PROP41_ITEMS = {
     "gen-cap": lambda group, h: gen_cap(group, h).holds,
     "partial-pi": lambda group, h: partial_pi(group, h).holds,
-    "s-quasinormal": s_quasinormal,
+    "s-quasinormal": lambda group, h: s_quasinormal(group, h),
 }
 
 

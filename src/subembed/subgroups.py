@@ -409,6 +409,8 @@ def omega(p_subgroup: Subgroup, p: int) -> Subgroup:
 def cyclic_subgroups_of_order(p_subgroup: Subgroup, m: int) -> list[Subgroup]:
     """Deduplicated <x> over elements x of exact order m (m = p or m = 4)."""
     p = prime_divisors(p_subgroup.order)[0] if p_subgroup.order > 1 else 0
+    if p:
+        _require_p_group(p_subgroup, p)
     if m == 4:
         if p_subgroup.order > 1 and p != 2:
             raise ValueError("order 4 requested for an odd-order group")

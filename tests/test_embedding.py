@@ -214,7 +214,7 @@ def test_s_quasinormal_implies_product_closed_with_every_sylow():
                     assert product_mask(h, s) == product_mask(s, h), name
 
 
-def test_proposition_implications_small():
+def test_proposition_implications_small(corpus400, query_mix_groups, group1875):
     # gen-cap, partial-pi and s-quasinormality each force partial-s-pi
     for name, group in apart_corpus(60):
         for p, h in se.standard_pool(group):
@@ -225,6 +225,28 @@ def test_proposition_implications_small():
                 assert psp, (name, "partial-pi")
             if se.s_quasinormal(group, h):
                 assert psp, (name, "s-quasinormal")
+    # cap forces partial-pi, as every section is K or L, normal of index 1;
+    # so does gen-cap on a soluble group, whose chief factors are abelian, so
+    # that gen-cap's test on every strict section is partial-pi's. Without
+    # solubility it does not: a Hall section of a non-abelian factor can have
+    # a normalizer index outside its primes
+    held = {"cap": 0, "soluble gen-cap": 0}
+    insoluble = []
+    for name, group in [*corpus400, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        soluble = se.is_soluble(group)
+        for _, h in se.standard_pool(group):
+            ppi = se.partial_pi(group, h).holds
+            if se.cap(group, h).holds:
+                assert ppi, (name, h.order, "cap")
+                held["cap"] += 1
+            if se.gen_cap(group, h).holds:
+                if soluble:
+                    assert ppi, (name, h.order, "gen-cap")
+                    held["soluble gen-cap"] += 1
+                elif not ppi:
+                    insoluble.append(name)
+    assert held == {"cap": 526, "soluble gen-cap": 506}
+    assert sorted(insoluble) == ["A5"] * 3 + ["A5xS3"] * 5 + ["S5"] * 8 + ["S6"] * 4
 
 
 def test_trivial_group_predicates(by_name):

@@ -378,6 +378,10 @@ def test_cyclic_subgroups_match_one_span_per_element(corpus400, group1875):
 def test_cyclic_subgroups_order4_rejected_for_odd(by_name):
     with pytest.raises(ValueError):
         se.cyclic_subgroups_of_order(Subgroup.whole(by_name["C9"]), 4)
+    # S3 has three subgroups of order 2 and one of order 3, but is no p-group
+    for m in (2, 3, 4):
+        with pytest.raises(ValueError, match="subgroup of order 6 is not a 2-group"):
+            se.cyclic_subgroups_of_order(Subgroup.whole(by_name["S3"]), m)
 
 
 def test_p_part_examples():
