@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvariantError
-from .groups import FiniteGroup, extend_closure
+from .groups import FiniteGroup, extend_closure, trivial_member
 from .normal import a_chief_series, normal_lattice
 from .subgroups import (
     Subgroup,
@@ -73,7 +73,7 @@ def _grow_sylow(sub: Subgroup, p: int) -> Subgroup:
     orders = group.element_orders
     first = next(i for i in sub.indices if int(orders[i]) == p)
     gens: list[int] = []
-    member = extend_closure(group, np.arange(group.order) == 0, gens, [first])
+    member = extend_closure(group, trivial_member(group.order), gens, [first])
     current = Subgroup(group, mask_from_bool(member))
     while current.order < target:
         norm = intersect(normalizer(group, current), sub)
@@ -254,7 +254,7 @@ def hypercentre(group: FiniteGroup) -> Subgroup:
     is central iff [l, g] lies in K for the generators l of L and g of G."""
 
     def central(low: Subgroup, high: Subgroup) -> bool:
-        return bool(low.member_bool[group.commutators(high.gens, group.gen_indices)].all())
+        return bool(low.member_bool.take(group.commutators(high.gens, group.gen_indices)).all())
 
     return _layered_join(Subgroup.trivial(group), central)
 

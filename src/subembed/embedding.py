@@ -104,8 +104,8 @@ def factor_centralizer_index(group: FiniteGroup, lat: NormalLattice, k: int, l: 
         coset = np.zeros(group.order, dtype=bool)
         for s in lat.nodes[l].gens:
             coset[:] = False
-            coset[group.table[s, low]] = True
-            central &= coset[group.conj_by_all(s)]
+            coset[group.table[s, low].astype(np.intp)] = True
+            central &= coset.take(group.conj_by_all(s))
         return group.order // int(np.count_nonzero(central))
 
     return group.memo("factor_centralizer", (k, l), compute)
@@ -270,7 +270,7 @@ def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
         if len(primes) == 1:
             member, indices = h.member_bool, h.index_array
             return all(
-                member[group.conj_set(indices, g)].all()
+                member.take(group.conj_set(indices, g)).all()
                 for g in p_residual(group, primes[0]).gens
             )
         if h.is_normal():

@@ -6,9 +6,9 @@ breadth-first discovery order from the generators, so it is reproducible.
 
 :func:`generate_group` builds the elements one breadth-first layer at a
 time (Holt–Eick–O'Brien, *Handbook of Computational Group Theory*, 2005),
-keeping only what the search needs. Each generator's products with the
-frontier form one block; the rows new in it are copied out and the block is
-freed before the next generator's. A layer's new rows form one compact
+keeping only what the search needs. Each generator's products with a
+slice of the frontier form one block; the rows new in it are copied out and
+the block is freed before the next one. A layer's new rows form one compact
 block, which is the next frontier, and ``rows`` is those blocks joined once
 at the end. The rows are held in the narrowest unsigned dtype that holds a
 point (one byte up to degree 256, two up to 65536), from the first layer to
@@ -41,6 +41,32 @@ conjugates only generators, x^g for every g in ``gs`` being the one gather
 ``maps[t, x]``): :meth:`FiniteGroup.conj_maps` gives x -> x^g over the
 whole group, for the conjugacy classes, and :func:`orbit_labels` labels
 each element with its orbit's least element.
+
+Every gather and scatter through the table follows one indexing rule. The
+table keeps its narrow dtype, but numpy's fancy indexing through a
+``uint8``/``uint16`` index array is 2-3 times slower than through ``intp``
+indices or ``ndarray.take`` (numpy 2.4, a 2-vCPU VM: a gather of 1875
+entries costs 4.9 µs through ``uint16``, 1.7 µs through ``intp`` and 1.9 µs
+by ``take``; a scatter of as many 5.3 µs, against 2.4 µs through ``intp``
+and 3.1 µs with the ``astype(np.intp)``).
+
+* A gather down a column, which the column-major table keeps contiguous, is
+  ``table[:, j].take(idxs)``.
+* A row is strided, so it is indexed with ``intp`` fancy indices:
+  ``table[i].take(idxs)`` copies the row first (1.7 µs against 0.7 µs for
+  ``table[i, idxs]``, five indices at order 1875).
+* Entry (x, g) sits at x + g·n of ``table.ravel(order="F")``, a view of the
+  table, so a gather of pairs, such as x^g = (g^-1 x)·g over every g, is one
+  ``take`` from it at those offsets.
+* A scatter goes through ``intp`` indices, or through ``put`` for a list.
+* Blocks of a few entries over generators (:meth:`FiniteGroup.commutators`,
+  the conjugates of ``subgroups.normal_closure_in``, the powers of
+  ``subgroups.frattini_p``) keep plain fancy indexing: at that size a
+  conversion or flat offset costs more than the narrow index does.
+
+``take`` copies narrow indices to ``intp`` before it gathers, 4 or 8 times
+their bytes, so :func:`generate_group` gathers its frontier in slices of
+at most ``_GATHER_ENTRIES`` points.
 """
 
 from __future__ import annotations
@@ -53,6 +79,7 @@ from .errors import ResourceCapError
 from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 10000
+_GATHER_ENTRIES = 1 << 14  # points per frontier gather in generate_group
 
 
 class FiniteGroup:
@@ -69,9 +96,10 @@ class FiniteGroup:
     read down its contiguous columns as ``table.argmin(axis=0)``, since x*j
     is the identity (index 0) only at x = j^-1. That read makes no copy of
     the table, so the first read of ``table`` and ``inv`` together peaks at
-    the table's own size. The table, the inverses, the element orders, the
-    conjugacy classes and the row index behind :meth:`lookup_rows` are each
-    a ``functools.cached_property``, computed on first read; keyed values
+    the table's own size. The table, the inverses, the column offsets of
+    the conjugation gathers, the element orders, the conjugacy classes and the
+    row index behind :meth:`lookup_rows` are each a
+    ``functools.cached_property``, computed on first read; keyed values
     go through :meth:`memo`. :meth:`release` drops all of them, and each is
     computed again if it is read again.
 
@@ -79,6 +107,13 @@ class FiniteGroup:
     holds a point (uint8 up to degree 256, uint16 up to 65536), joined from
     the breadth-first layer blocks of :func:`generate_group`, which are gone
     once the group is built.
+
+    Its entries serve as fancy indices only in blocks of a few generators,
+    since that is 2-3 times slower than ``take`` or ``intp`` indices on
+    anything larger: columns are read with ``take``, rows through ``intp``
+    fancy indices, pairs (x, g) by ``take`` from ``table.ravel(order="F")``
+    at x + g·n, and scatters go through ``intp`` indices (the module
+    docstring has the rule and its measured costs).
     """
 
     def __init__(self, degree, rows, gen_indices, generators, bfs_edges, gen_columns, name=None):
@@ -87,7 +122,9 @@ class FiniteGroup:
         self.order = len(rows)
         self.gen_indices = tuple(gen_indices)
         self.generators = tuple(generators)
-        self.bfs_edges = bfs_edges  # bfs_edges[i] = (parent index, generator position)
+        # bfs_edges[i] = (parent index, generator position): 8 bytes a row,
+        # where a list of tuples held about 55 bytes per element
+        self.bfs_edges = np.array(bfs_edges, dtype=np.int32)
         self._gen_columns = gen_columns  # gen_columns[k][x] = index of x * generators[k]
         self.name = name
         # the per-group caches keyed by masks and primes (see memo)
@@ -115,10 +152,10 @@ class FiniteGroup:
 
     def release(self) -> None:
         """Drop every lazily computed value: the :meth:`memo` sections and
-        every ``cached_property`` (the table, the inverses, the element
-        orders, the conjugacy classes, the row index). What remains is what
-        :func:`generate_group` built, from which each is computed again on
-        its next read."""
+        every ``cached_property`` (the table, the inverses, the column
+        offsets, the element orders, the conjugacy classes, the row index).
+        What remains is what :func:`generate_group` built, from which each
+        is computed again on its next read."""
         self.cache.clear()
         for name in _CACHED_PROPERTIES:
             vars(self).pop(name, None)
@@ -170,10 +207,19 @@ class FiniteGroup:
         for g, column in zip(self.gen_indices, self._gen_columns):
             table[:, g] = column
         # x*j = (x*parent)*gen along the BFS tree; parents come first
+        parents, gposs = self.bfs_edges.T.tolist()
         for j in range(1, n):
-            parent, gpos = self.bfs_edges[j]
-            table[:, j] = table[:, self.gen_indices[gpos]][table[:, parent]]
+            column = table[:, self.gen_indices[gposs[j]]]
+            table[:, j] = column.take(table[:, parents[j]])
         return table
+
+    @cached_property
+    def _column_starts(self) -> np.ndarray:
+        """g·n for every g: entry (x, g) of the table sits at x + g·n of
+        its column-major ravel, ``table.ravel(order="F")``, a view of it.
+        Kept for :meth:`conj_by_all` and :meth:`conj_maps`, which read an
+        entry of every column."""
+        return np.arange(self.order) * self.order
 
     def mult(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -197,49 +243,53 @@ class FiniteGroup:
         """Indices of h^g for every g, as an array indexed by g."""
         (h,) = self._checked([h])
         table = self.table
-        return table[table[:, h][self.inv], np.arange(self.order)]
+        # h^g = (g^-1 h)·g sits at g^-1 h + g·n of the column-major ravel
+        return table.ravel(order="F").take(table[:, h].take(self.inv) + self._column_starts)
 
     def conj_maps(self, gs) -> np.ndarray:
         """Row t is the map x -> x^gs[t] = gs[t]^-1 * x * gs[t], indexed by x."""
         gs = self._checked(gs)
         table = self.table
-        return table[table[self.inv[gs]], gs[:, None]]
+        left = table[self.inv[gs]]  # row t: gs[t]^-1 x for every x
+        return table.ravel(order="F").take(left + self._column_starts[gs, None])
 
-    def _checked(self, gs) -> np.ndarray:
-        """``gs`` as an index array; ValueError on an index out of range."""
-        gs = [int(g) for g in gs]
+    def _checked(self, gs) -> list[int]:
+        """``gs`` as a list of Python ints; ValueError on an index out of range."""
+        gs = gs.tolist() if isinstance(gs, np.ndarray) else [int(g) for g in gs]
         for g in gs:
             if not 0 <= g < self.order:
                 raise ValueError(f"element index {g} out of range")
-        return np.array(gs, dtype=np.intp)
+        return gs
 
     def conj_set(self, idxs: np.ndarray, g: int) -> np.ndarray:
         """Indices of x^g for every x in ``idxs``."""
         if not 0 <= g < self.order:
             raise ValueError(f"element index {g} out of range")
         table = self.table
-        return table[:, g][table[self.inverse(g), idxs]]
+        return table[:, g].take(table[self.inverse(g), idxs])
 
     def commutators(self, xs, ys) -> np.ndarray:
         """The |xs|×|ys| block of [x, y] = x^-1 y^-1 x y = (yx)^-1 (xy):
         two table blocks and one inverse gather."""
-        xs, ys = self._checked(xs), self._checked(ys)
+        xs = np.array(self._checked(xs), dtype=np.intp)[:, None]
+        ys = np.array(self._checked(ys), dtype=np.intp)
         table = self.table
-        return table[self.inv[table[ys, xs[:, None]]], table[xs[:, None], ys]]
+        return table[self.inv[table[ys, xs]], table[xs, ys]]
 
     # -- element orders and conjugacy classes ----------------------------
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        # walk every x through x, x^2, x^3, ... until it reaches 1
-        table = self.table
-        orders = np.ones(self.order, dtype=np.int64)
-        live = np.arange(1, self.order)
-        power = live.copy()
+        # walk every x through x, x^2, x^3, ... until it reaches 1; the
+        # product power·x sits at power + x·n of the column-major ravel
+        flat, n = self.table.ravel(order="F"), self.order
+        orders = np.ones(n, dtype=np.int64)
+        live = np.arange(1, n)
+        power = live
         k = 1
         while len(live):
             k += 1
-            power = table[power, live]
+            power = flat.take(power + n * live)
             done = power == 0
             orders[live[done]] = k
             live = live[~done]
@@ -297,24 +347,29 @@ def generate_group(
     # a layer's rows are consecutive indices from ``first``, in frontier
     # order, so appending along the layers gives columns[k][x] = x * gens[k]
     columns = [[] for _ in gen_rows]
+    # ``take`` copies its narrow indices to intp first, so the frontier is
+    # gathered a slice of at most _GATHER_ENTRIES points at a time
+    step = max(1, _GATHER_ENTRIES // degree)
     first = 0
     while gen_rows and len(frontier):
         pieces = []
         for gpos, grow in enumerate(gen_rows):
-            products = grow[frontier]  # products[t] = (first + t) * gen
-            column, fresh = columns[gpos], []
-            for t in range(len(products)):
-                key = products[t].tobytes()
-                got = index.get(key)
-                if got is None:
-                    if len(edges) >= cap:
-                        raise ResourceCapError("group order exceeds cap", len(edges))
-                    got = index[key] = len(edges)
-                    edges.append((first + t, gpos))
-                    fresh.append(t)
-                column.append(got)
-            pieces.append(products[fresh])
-            del products  # copied out: free the block before the next one
+            column = columns[gpos]
+            for start in range(0, len(frontier), step):
+                # products[t] = (first + start + t) * gen
+                products, fresh = grow.take(frontier[start : start + step]), []
+                for t in range(len(products)):
+                    key = products[t].tobytes()
+                    got = index.get(key)
+                    if got is None:
+                        if len(edges) >= cap:
+                            raise ResourceCapError("group order exceeds cap", len(edges))
+                        got = index[key] = len(edges)
+                        edges.append((first + start + t, gpos))
+                        fresh.append(t)
+                    column.append(got)
+                pieces.append(products[fresh])
+                del products  # copied out: free the block before the next one
         first += len(frontier)
         frontier = np.concatenate(pieces)
         blocks.append(frontier)
@@ -326,10 +381,16 @@ def generate_group(
     return FiniteGroup(degree, rows, gen_indices, gens, edges, columns, name=name)
 
 
+def trivial_member(order: int) -> np.ndarray:
+    """The boolean member array of the trivial subgroup: index 0 only."""
+    member = np.zeros(order, dtype=bool)
+    member[0] = True
+    return member
+
+
 def closure_indices(group: FiniteGroup, gen_idxs) -> np.ndarray:
     """Element indices of <gens> inside ``group``, sorted ascending."""
-    member = np.arange(group.order) == 0
-    return extend_closure(group, member, [], gen_idxs).nonzero()[0]
+    return extend_closure(group, trivial_member(group.order), [], gen_idxs).nonzero()[0]
 
 
 def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> np.ndarray:
@@ -349,7 +410,7 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
     leaves ``gens`` as the full run would: every later element lies in G.
     """
     table = group.table
-    for g in group._checked(new).tolist():
+    for g in group._checked(new):
         if member.item(g):
             continue
         gens.append(g)
@@ -357,10 +418,10 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
             powers = [g]
             while powers[-1]:
                 powers.append(table.item(powers[-1], g))
-            member[powers] = True
+            member.put(powers, True)
             continue
         base = member.nonzero()[0]
-        member[table[:, g][base]] = True
+        member[table[:, g].take(base).astype(np.intp)] = True
         reps = [g]
         for r in reps:  # breadth first: the list grows while it is read
             if 2 * len(base) * (len(reps) + 1) > group.order:
@@ -369,7 +430,7 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
             for s in gens:
                 x = table.item(r, s)
                 if not member.item(x):
-                    member[table[:, x][base]] = True
+                    member[table[:, x].take(base).astype(np.intp)] = True
                     reps.append(x)
     return member
 
@@ -382,6 +443,7 @@ def orbit_labels(maps: np.ndarray) -> np.ndarray:
     round takes the least label across every map both ways, then the label
     of the label (a doubling jump). A round that changes nothing leaves each
     orbit with one label, its least point."""
+    maps = maps.astype(np.intp)  # gathered from and scattered through
     k, n = maps.shape
     back = np.empty_like(maps)
     back[np.arange(k)[:, None], maps] = np.arange(n)

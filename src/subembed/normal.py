@@ -138,7 +138,8 @@ def _build_lattice(group: FiniteGroup, node_cap: int) -> NormalLattice:
 
 def _joins(group: FiniteGroup, masks: list[int], need: list[tuple[int, int]], c: int):
     """Yield the mask of m·c for each (m, |m·c|) in ``need``, m the node ``masks[m]``
-    and c normal: a block of joins from one table gather, sizes checked as in product_mask."""
+    and c normal: a block of joins from one table gather, sizes checked as in product_mask,
+    and scattered through in the table's narrow dtype for the reason product_mask gives."""
     width, right = (group.order + 7) // 8, Subgroup(group, c).index_array
     step = max(1, _JOIN_ENTRIES // (group.order * (len(right) + 1)))  # |G| + |m||c| a row
     for block in (need[i : i + step] for i in range(0, len(need), step)):
@@ -253,7 +254,7 @@ def _coset_action(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
 
     gen_perms = []
     for g in group.gen_indices:
-        images = coset_of[group.mult_many(reps, g)]
+        images = coset_of.take(group.mult_many(reps, g))
         gen_perms.append(Permutation(tuple(int(x) + 1 for x in images)))
     image = generate_group(
         gen_perms,

@@ -96,6 +96,49 @@ def test_commutators_match_row_composition(corpus400):
                 assert group.perm(block[i, j]).images == want, (name, x, y)
 
 
+def _assert_conjugation_oracles(group, hs, gs):
+    """``conj_by_all``, ``conj_set``, ``conj_maps`` and ``commutators`` on
+    the elements ``hs`` and the conjugating elements ``gs``, against
+    x^g = g^-1 x g and [x, y] = x^-1 y^-1 x y composed on raw image tuples."""
+    images = {i: group.perm(i).images for i in {*hs, *gs}}
+
+    def image(i):
+        return group.perm(int(i)).images
+
+    def conj(x, g):
+        return raw_compose(raw_compose(raw_inverse(images[g]), images[x]), images[g])
+
+    maps = group.conj_maps(gs)
+    block = group.commutators(hs, gs)
+    assert maps.shape == (len(gs), group.order) and block.shape == (len(hs), len(gs))
+    for i, h in enumerate(hs):
+        by_all = group.conj_by_all(h)
+        assert by_all.shape == (group.order,)
+        for t, g in enumerate(gs):
+            want = conj(h, g)
+            assert image(by_all[g]) == want, (group.name, h, g)
+            assert image(maps[t, h]) == want, (group.name, h, g)
+            a, b = images[h], images[g]
+            want = raw_compose(raw_compose(raw_inverse(a), raw_inverse(b)), raw_compose(a, b))
+            assert image(block[i, t]) == want, (group.name, h, g)
+    for g in gs:
+        got = group.conj_set(np.array(hs, dtype=np.intp), g)
+        assert [image(x) for x in got] == [conj(h, g) for h in hs], (group.name, g)
+
+
+def test_conjugation_matches_row_composition_on_two_byte_tables(group1875):
+    # both tables hold two-byte indices, where every other conjugation
+    # oracle runs on one-byte tables: all of S6 conjugates 12 sampled
+    # elements, and 12 sampled elements of the order-1875 group each other
+    rng = np.random.default_rng(0)
+    s6 = se.build(se.Sym(6))
+    assert s6.table.dtype == group1875.table.dtype == np.uint16
+    hs = sorted(rng.choice(s6.order, 12, replace=False).tolist())
+    _assert_conjugation_oracles(s6, hs, list(range(s6.order)))
+    sample = sorted(rng.choice(group1875.order, 12, replace=False).tolist())
+    _assert_conjugation_oracles(group1875, sample, sample)
+
+
 def test_identity_is_index_zero():
     for _, group in apart_corpus(60):
         assert group.perm(0).is_identity()
@@ -293,7 +336,7 @@ def test_builder_matches_the_per_row_reference(
         assert group.rows.dtype == np.min_scalar_type(degree - 1), group
         assert group.rows.flags.c_contiguous
         assert np.array_equal(group.rows, reference.rows), group
-        assert group.bfs_edges == reference.bfs_edges, group
+        assert np.array_equal(group.bfs_edges, reference.bfs_edges), group
         assert group.gen_indices == reference.gen_indices, group
         assert group._gen_columns.dtype == reference._gen_columns.dtype, group
         assert np.array_equal(group._gen_columns, reference._gen_columns), group
@@ -341,6 +384,21 @@ def test_first_table_and_inverse_read_peaks_near_the_table():
     group = se.build(EXAMPLE_1875_EXPR)
     peak, table = _traced_peak(lambda: (group.table, group.inv)[0])
     assert peak <= 1.1 * table.nbytes, peak / table.nbytes
+
+
+def test_conjugation_gathers_peak_far_below_the_table():
+    # conj_by_all takes from table.ravel(order="F"), which is a view only
+    # while the table is Fortran-ordered; a flat gather from a copy of the
+    # table would peak at its 7 MB, against about 30 kB for one column
+    group = se.build(EXAMPLE_1875_EXPR)
+    table, _ = group.table, group.inv
+    assert table.flags.f_contiguous
+    peak, _ = _traced_peak(lambda: group.conj_by_all(group.order - 1))
+    assert peak <= 0.02 * table.nbytes, peak / table.nbytes
+    h = se.span(group, [1])
+    peak, norm = _traced_peak(lambda: se.normalizer(group, h))
+    assert h.is_subset_of(norm)
+    assert peak <= 0.02 * table.nbytes, peak / table.nbytes
 
 
 def test_index_of_keeps_no_row_index():
