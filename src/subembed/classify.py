@@ -2,7 +2,8 @@
 
 Quotient and normal-subgroup structure is read off G's own normal lattice.
 By the correspondence theorem the lattice of G/K is the interval [K, G], so
-Z_U(G/K), Z_inf and O_{p',p}(G) are joins of covers and nodes above K. For a
+Z_U(G/K) and O_{p',p}(G) are joins of covers and nodes above K; Z_inf(G/K)
+is climbed from commutators with G's generators, with no lattice. For a
 Fitting class F and E normal in G, E_F = E ∩ G_F (Doerk–Hawkes, *Finite
 Soluble Groups*, 1992), so the harness reads O_p'(E), F_p(E) and F*(E) as
 E ∩ O_p'(G), E ∩ F_p(G) and E ∩ F*(G). F*(G) and the Sylow subgroups of
@@ -250,13 +251,31 @@ def is_p_supersoluble(group: FiniteGroup, p: int) -> bool:
 
 
 def hypercentre(group: FiniteGroup) -> Subgroup:
-    """Z_inf: the layered join of the central covers above 1. A cover L/K
-    is central iff [l, g] lies in K for the generators l of L and g of G."""
+    """Z_inf(G): the hypercentre over the trivial subgroup."""
+    return hypercentre_over(Subgroup.trivial(group))
 
-    def central(low: Subgroup, high: Subgroup) -> bool:
-        return bool(low.member_bool.take(group.commutators(high.gens, group.gen_indices)).all())
 
-    return _layered_join(Subgroup.trivial(group), central)
+def hypercentre_over(kernel: Subgroup) -> Subgroup:
+    """The preimage in G of Z_inf(G/K) for K normal in G, memoised per K:
+    the upper central series mod K, Z_0 = K and Z_{i+1} = {x : [x, g] ∈ Z_i
+    for every generator g}, as xZ_i is central in G/Z_i iff it commutes with
+    the images of G's generators. Each step reads the |G|×generators block
+    of commutators, kept once per group, against Z_i; no lattice is read."""
+    group = kernel.group
+
+    def climb() -> Subgroup:
+        gens, n = group.gen_indices, group.order
+        block = group.memo("hypercentre", "commutators", lambda: group.commutators(range(n), gens))
+        member = kernel.member_bool
+        while True:
+            grown = member.take(block).all(axis=1)
+            if np.array_equal(grown, member):
+                return Subgroup(group, mask_from_bool(member))
+            if (member > grown).any():
+                raise InvariantError("the kernel of a hypercentre is not normal")
+            member = grown
+
+    return group.memo("hypercentre", kernel.mask, climb)
 
 
 def u_hypercentre(group: FiniteGroup) -> Subgroup:
@@ -265,31 +284,23 @@ def u_hypercentre(group: FiniteGroup) -> Subgroup:
 
 
 def u_hypercentre_over(kernel: Subgroup) -> Subgroup:
-    """The preimage in G of Z_U(G/K): the layered join of the prime-order
-    covers above K. A chief factor L/K of prime order q is supersolubly
-    central (G/C_G(L/K) embeds in C_{q-1}); one of composite order never is."""
+    """The preimage in G of Z_U(G/K): from the node K, join every cover of
+    prime order above it, and repeat from the join until none is left.
+    Covers above K are the minimal normal subgroups of G/K. A chief factor
+    L/K of prime order q is supersolubly central (G/C_G(L/K) embeds in
+    C_{q-1}); one of composite order never is."""
 
-    def prime_order(low: Subgroup, high: Subgroup) -> bool:
-        return is_prime(high.order // low.order)
+    def climb() -> Subgroup:
+        lat = normal_lattice(kernel.group)
+        k = lat.node_id(kernel)
+        while True:
+            layer = [l for l in lat.up[k] if is_prime(lat.nodes[l].order // lat.nodes[k].order)]
+            if not layer:
+                return lat.nodes[k]
+            for l in layer:
+                k = lat.join_id(k, l)
 
-    return kernel.group.memo(
-        "u_hypercentre", kernel.mask, lambda: _layered_join(kernel, prime_order)
-    )
-
-
-def _layered_join(base: Subgroup, admits) -> Subgroup:
-    """From the node K = ``base``, join every cover L of K for which
-    ``admits(K, L)`` holds, and repeat from the join until no cover of it
-    is admitted. Covers above K are the minimal normal subgroups of G/K."""
-    lat = normal_lattice(base.group)
-    k = lat.node_id(base)
-    while True:
-        low = lat.nodes[k]
-        layer = [l for l in lat.up[k] if admits(low, lat.nodes[l])]
-        if not layer:
-            return low
-        for l in layer:
-            k = lat.join_id(k, l)
+    return kernel.group.memo("u_hypercentre", kernel.mask, climb)
 
 
 def f_star(group: FiniteGroup) -> Subgroup:

@@ -32,12 +32,11 @@ those counts and the node orders, clause by clause in this order:
    product and its normalizer scanned. ``recheck_witness_partial_s_pi``
    builds and scans every section, as an independent check.
 
-S-quasinormality of a p-subgroup H ≠ 1 is read off O^p(G), the least normal
-subgroup of p-power index: H permutes with every Sylow subgroup of G iff
-O^p(G) normalizes H (Schmid, *J. Algebra* 207, 1998, Lemma A). So H is
-conjugated by the few generators of O^p(G), not multiplied with every
-Sylow conjugate; only the trivial subgroup and subgroups of mixed order are
-compared with the Sylow conjugates as product sets.
+S-quasinormality has one test: an S-quasinormal H has H/H_G ≤ Z_inf(G/H_G)
+(Schmid, *J. Algebra* 207, 1998). Conversely each Sylow p-subgroup P/H_G of
+the nilpotent H/H_G is then centralized by the p'-elements of G/H_G, which
+act trivially on its central factors, so it is S-quasinormal by Lemma A
+there, and so is their join H (Kegel, *Math. Z.* 78, 1962).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .classify import p_residual, primes_of_group, sylow_conjugates, sylow_of_subgroup
+from .classify import hypercentre_over, sylow_of_subgroup
 from .errors import InvariantError
 from .groups import FiniteGroup
 from .normal import NormalLattice, normal_lattice
@@ -255,31 +254,16 @@ def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
 
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
     """True iff H permutes with every Sylow subgroup of G (HS = SH for all
-    conjugates of every Sylow subgroup).
-
-    A p-subgroup H ≠ 1 is S-quasinormal iff O^p(G) ≤ N_G(H) (Schmid,
-    *J. Algebra* 207, 1998, Lemma A), so it is decided by conjugating H by
-    the generators of O^p(G) (``classify.p_residual``, the span of the
-    p'-elements; no lattice is read). The trivial subgroup and subgroups of
-    mixed order are compared with every Sylow conjugate S: HS = SH as
-    product sets."""
+    conjugates of every Sylow subgroup): iff H/H_G ≤ Z_inf(G/H_G) (module
+    docstring). The core H_G is the union of the conjugacy classes inside
+    H, read off ``group.class_labels``; Z_inf is ``hypercentre_over``."""
     require_own_subgroup(group, h)
 
     def permutes() -> bool:
-        primes = prime_divisors(h.order)
-        if len(primes) == 1:
-            member, indices = h.member_bool, h.index_array
-            return all(
-                member.take(group.conj_set(indices, g)).all()
-                for g in p_residual(group, primes[0]).gens
-            )
-        if h.is_normal():
-            return True
-        return all(
-            product_mask(h, s) == product_mask(s, h)
-            for p in primes_of_group(group)
-            for s in sylow_conjugates(group, p)
-        )
+        labels, outside = group.class_labels, np.zeros(group.order, dtype=bool)
+        outside[labels[~h.member_bool]] = True  # the classes not inside H
+        core = Subgroup.from_indices(group, np.flatnonzero(h.member_bool & ~outside.take(labels)))
+        return core == h or h.is_subset_of(hypercentre_over(core))
 
     return group.memo("s_quasinormal", h.mask, permutes)
 

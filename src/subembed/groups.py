@@ -97,8 +97,8 @@ class FiniteGroup:
     is the identity (index 0) only at x = j^-1. That read makes no copy of
     the table, so the first read of ``table`` and ``inv`` together peaks at
     the table's own size. The table, the inverses, the column offsets of
-    the conjugation gathers, the element orders, the conjugacy classes and the
-    row index behind :meth:`lookup_rows` are each a
+    the conjugation gathers, the element orders, the class labels, the
+    conjugacy classes and the row index behind :meth:`lookup_rows` are each a
     ``functools.cached_property``, computed on first read; keyed values
     go through :meth:`memo`. :meth:`release` drops all of them, and each is
     computed again if it is read again.
@@ -153,9 +153,9 @@ class FiniteGroup:
     def release(self) -> None:
         """Drop every lazily computed value: the :meth:`memo` sections and
         every ``cached_property`` (the table, the inverses, the column
-        offsets, the element orders, the conjugacy classes, the row index).
-        What remains is what :func:`generate_group` built, from which each
-        is computed again on its next read."""
+        offsets, the element orders, the class labels, the conjugacy
+        classes, the row index). What remains is what :func:`generate_group`
+        built, from which each is computed again on its next read."""
         self.cache.clear()
         for name in _CACHED_PROPERTIES:
             vars(self).pop(name, None)
@@ -304,8 +304,13 @@ class FiniteGroup:
         return self._classes
 
     @cached_property
+    def class_labels(self) -> np.ndarray:
+        """For every element, the least element of its conjugacy class."""
+        return orbit_labels(self.conj_maps(self.gen_indices))
+
+    @cached_property
     def _classes(self) -> list[np.ndarray]:
-        labels = orbit_labels(self.conj_maps(self.gen_indices))
+        labels = self.class_labels
         members = np.argsort(labels, kind="stable")
         starts = np.flatnonzero(np.diff(labels[members])) + 1
         return np.split(members, starts)

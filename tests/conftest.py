@@ -532,6 +532,12 @@ def quotient_hypercentre(group):
         current = lifted
 
 
+def quotient_hypercentre_over(kernel):
+    """The preimage in G of Z_inf(G/K), with G/K built as a group."""
+    qmap = se.quotient(kernel.group, kernel)
+    return qmap.preimage_subgroup(quotient_hypercentre(qmap.image))
+
+
 def quotient_fitting_p(group, p):
     """F_p(G): the preimage of O_p(G/O_p'(G)), with the quotient built."""
     qmap = se.quotient(group, se.radical_p_prime(group, p))

@@ -6,6 +6,7 @@ import pytest
 import subembed as se
 from subembed.classify import (
     class_report,
+    hypercentre_over,
     p_soluble_nodes,
     sylow_of_subgroup,
     u_hypercentre_over,
@@ -28,6 +29,7 @@ from conftest import (
     child_z_u_mod_o_p_prime,
     quotient_fitting_p,
     quotient_hypercentre,
+    quotient_hypercentre_over,
     quotient_u_hypercentre,
     quotient_u_hypercentre_over,
     soluble_by_chief_factors,
@@ -180,6 +182,17 @@ def test_hypercentre(by_name):
     assert se.hypercentre(by_name["D8"]).order == 8  # nilpotent: Z_inf = G
     assert se.hypercentre(by_name["S3"]).order == 1
     assert se.hypercentre(by_name["SL(2,3)"]).order == 2
+
+
+def test_hypercentre_over_matches_the_quotient_oracle():
+    # the upper central series mod K, climbed in G from one commutator
+    # block, against the centres of G/K and its quotients built as groups
+    for name, group in apart_corpus(60):
+        for node in se.normal_lattice(group).nodes:
+            assert hypercentre_over(node) == quotient_hypercentre_over(node), (name, node.order)
+    s3 = dict(apart_corpus(6))["S3"]
+    with pytest.raises(se.InvariantError, match="not normal"):
+        hypercentre_over(se.span(s3, [s3.index_of(se.parse_cycles("(1 2)", 3))]))
 
 
 def test_u_hypercentre_examples(by_name):

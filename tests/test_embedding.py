@@ -541,10 +541,31 @@ def test_s_quasinormal_is_exact_on_small_groups(small_subgroup_sets):
     assert len(answers) == 444 and answers.count(False) == 177
 
 
+@pytest.mark.parametrize(
+    "expr, counts",
+    [
+        (se.Perm(17, ("(1 6 2 3)(4 7 8 5)", "(1 4 7)(2 8 5)(9 10 11 12 13 14 15 16 17)")), (21, 7)),
+        (se.Direct(se.Alt(4), se.Sym(3)), (94, 9)),
+        (se.Alt(5), (59, 2)),
+    ],
+    ids=["Q8:C9", "A4xS3", "A5"],
+)
+def test_s_quasinormal_is_exact_past_the_corpus(expr, counts):
+    # every subgroup of three groups outside the corpus, against the product
+    # sets of every Sylow subgroup: (subgroups, S-quasinormal ones)
+    group = se.build(expr)
+    subs = all_subgroups(group)
+    quasinormal = brute_s_quasinormal_masks(group, subs)
+    for mask in subs:
+        got = se.s_quasinormal(group, Subgroup(group, mask))
+        assert got == (mask in quasinormal), mask.bit_count()
+    assert (len(subs), len(quasinormal)) == counts
+
+
 def test_s_quasinormal_matches_the_product_test(corpus400, query_mix_groups, group1875):
-    # p-subgroups are decided by O^p(G) normalizing H; the oracle compares
-    # HS with SH for every Sylow conjugate S. The pools, then 60 seeded
-    # p-subgroups per (group, p)
+    # s_quasinormal tests H/H_G ≤ Z_inf(G/H_G); the oracle compares HS with
+    # SH for every Sylow conjugate S. The pools, then 60 seeded p-subgroups
+    # per (group, p)
     small = [(n, g) for n, g in corpus400 if g.order <= 120]
     answers = {"pool": [], "random": []}
     for name, group in [*small, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
@@ -559,36 +580,58 @@ def test_s_quasinormal_matches_the_product_test(corpus400, query_mix_groups, gro
     assert counts == {"pool": (905, 510), "random": (7320, 2152)}
 
 
+def _core(h):
+    """H_G, the intersection of the conjugates of H by every element."""
+    mask = h.mask
+    for g in range(h.group.order):
+        mask &= h.conjugate(g).mask
+    return Subgroup(h.group, mask)
+
+
 def test_s_quasinormal_named_cases():
-    # O^2(D8xC3) = C3 centralizes the non-normal <(1 3)>; O^2(S4) = A4 does
-    # not normalize <(1 2)(3 4)>
+    # H is S-quasinormal iff H/H_G ≤ Z_inf(G/H_G). In the nilpotent D8xC3,
+    # Z_inf is the whole group, of order 24, so every subgroup is: the
+    # non-normal <(1 3)> with core 1, and <(1 3), (5 6 7)> of order 6 with
+    # core C3. In S4, <(1 2)(3 4)> and <(1 2), (1 2 3)> have core 1 and
+    # Z_inf(S4) = 1
     d8c3 = se.build(se.Direct(se.Dihedral(8), se.Cyclic(3)))
+    assert se.hypercentre(d8c3).order == 24
     h = se.span(d8c3, [idx(d8c3, "(1 3)")])
-    assert se.p_residual(d8c3, 2).order == 3
+    assert _core(h).order == 1
+    assert not h.is_normal() and se.s_quasinormal(d8c3, h)
+    h = se.span(d8c3, [idx(d8c3, "(1 3)"), idx(d8c3, "(5 6 7)")])
+    assert h.order == 6 and _core(h).order == 3
     assert not h.is_normal() and se.s_quasinormal(d8c3, h)
     s4 = se.build(se.Sym(4))
+    assert se.hypercentre(s4).order == 1
     k = se.span(s4, [idx(s4, "(1 2)(3 4)")])
-    assert se.p_residual(s4, 2).order == 12
+    assert _core(k).order == 1
     assert not k.is_normal() and not se.s_quasinormal(s4, k)
+    k = se.span(s4, [idx(s4, "(1 2)"), idx(s4, "(1 2 3)")])
+    assert k.order == 6 and _core(k).order == 1
+    assert not se.s_quasinormal(s4, k)
 
 
 def test_s_quasinormal_past_the_lattice_cap():
-    # O^p(G) is the span of the p'-elements, so no lattice is read: C2^7 has
-    # 29212 normal subgroups, C2^6xC3 5650 and C2^6xS3 more, all past the
-    # node cap, and each p-subgroup is still answered
+    # the core H_G is read off the class labels and Z_inf(G/H_G) off one
+    # block of commutators, so no lattice is read: C2^7 has 29212 normal
+    # subgroups, C2^6xC3 5650 and C2^6xS3 more, all past the node cap, and
+    # each subgroup is still answered, the mixed diagonal S3 of C2^6xS3 too
     c2_7 = se.build(se.ElemAbelian(2, 7))
     assert se.s_quasinormal(c2_7, se.span(c2_7, [1, 2]))
     answers = []
     for factor in (se.Cyclic(3), se.Sym(3)):
         group = se.build(se.Direct(se.ElemAbelian(2, 6), factor))
-        for g in group.gen_indices:
-            h = se.span(group, [g])
+        pool = [se.span(group, [g]) for g in group.gen_indices]
+        if factor == se.Sym(3):
+            pool.append(se.span(group, [idx(group, "(1 2)(13 14)"), idx(group, "(13 14 15)")]))
+        for h in pool:
             got = se.s_quasinormal(group, h)
             assert got == brute_s_permutable(group, h), (group.order, h.order)
             answers.append((h.order, got))
         assert "lattice" not in group.cache
     assert "lattice" not in c2_7.cache
-    assert answers.count((2, False)) == 1
+    assert answers.count((2, False)) == 1 and answers[-1] == (6, True)
 
 
 def test_s_qn_embedded_is_exact_on_small_groups(small_subgroup_sets):
