@@ -236,18 +236,26 @@ def _p_insoluble_primes(group: FiniteGroup) -> tuple[int, ...]:
     return group.memo("p_soluble", "insoluble primes", scan)
 
 
+def composite_chief_primes(group: FiniteGroup) -> tuple[int, ...]:
+    """The primes dividing some chief factor of composite order, read off one
+    chief series: by Jordan–Hölder every chief series has the same factors."""
+
+    def scan() -> tuple[int, ...]:
+        orders = a_chief_series(group).factor_orders
+        return prime_divisors(math.prod(n for n in orders if not is_prime(n)))
+
+    return group.memo("chief", "composite primes", scan)
+
+
 def is_supersoluble(group: FiniteGroup) -> bool:
-    """Every chief factor has prime order (series choice is immaterial)."""
-    return all(is_prime(order) for order in a_chief_series(group).factor_orders)
+    """Every chief factor has prime order."""
+    return not composite_chief_primes(group)
 
 
 def is_p_supersoluble(group: FiniteGroup, p: int) -> bool:
-    """p-soluble, and chief factors of order divisible by p have order p."""
-    if not is_p_soluble(group, p):
-        return False
-    return all(
-        order % p != 0 or order == p for order in a_chief_series(group).factor_orders
-    )
+    """Every chief factor of order divisible by p has order p (so G is
+    p-soluble: each other factor is a p'-group)."""
+    return p not in composite_chief_primes(group)
 
 
 def hypercentre(group: FiniteGroup) -> Subgroup:

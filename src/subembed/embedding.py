@@ -9,6 +9,16 @@ series does, and no chain is enumerated (elementary abelian groups have
 exponentially many). "Every chief factor works" (``cap``, ``gen_cap``)
 scans the cover pairs and reports the first one that fails.
 
+One-series shortcut: a section strictly between K and L has |X : K| > 1
+dividing |H| and |L : K|, and no factor of prime order has one. So when no
+prime of |H| divides a chief factor of composite order
+(``classify.composite_chief_primes``; by Jordan–Hölder one series gives
+them), every cover passes: the scan holds at once, and the search returns
+``a_chief_series``. That is the path it would find, so the witness is kept:
+with every cover passing, its first node at each depth is the least
+successor of the one before, and the normal lattice is modular, so each
+node has one depth. For a p-subgroup H this is G being p-supersoluble.
+
 An evaluation reads the lattice once and takes |H∩N| for every node N, one
 mask popcount each. Since (H∩L)∩K = H∩K, the section X = (H∩L)K has
 |X| = |H∩L|·|K|/|H∩K|, so each cover is decided by integer arithmetic on
@@ -46,10 +56,10 @@ from functools import partial
 
 import numpy as np
 
-from .classify import hypercentre_over, sylow_of_subgroup
+from .classify import composite_chief_primes, hypercentre_over, sylow_of_subgroup
 from .errors import InvariantError
 from .groups import FiniteGroup
-from .normal import NormalLattice, normal_lattice
+from .normal import NormalLattice, a_chief_series, normal_lattice
 from .subgroups import (
     Subgroup,
     intersect,
@@ -150,6 +160,8 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, passes) -> Verdict:
     first path found as the witness. A cover (K, L) passes when its section
     X = (H∩L)K is K or L, else when ``passes(lat, k, l, |X|)`` holds."""
     lat = normal_lattice(group)
+    if all(h.order % q for q in composite_chief_primes(group)):  # one-series shortcut
+        return Verdict(True, witness=a_chief_series(group).chain)
     meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
     parent, frontier, top = {0: None}, [0], lat.top
     while frontier:
@@ -169,8 +181,6 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, passes) -> Verdict:
                     return Verdict(True, witness=tuple(reversed(path)))
                 nxt.append(upper)
         frontier = nxt
-    if top == 0:
-        return Verdict(True, witness=(0,))
     return Verdict(False)
 
 
@@ -179,6 +189,8 @@ def _every_chief_factor(group: FiniteGroup, h: Subgroup, fails) -> Verdict:
     first failing one. A cover (K, L) passes when its section X = (H∩L)K is
     K or L, else when ``fails(lat, k, l, |X|)`` gives no reason."""
     lat = normal_lattice(group)
+    if all(h.order % q for q in composite_chief_primes(group)):  # one-series shortcut
+        return Verdict(True)
     meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
     for k, l in lat.covers:
         x = meet[l] * orders[k] // meet[k]

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .catalog import builtin_corpus
 from .classify import (
+    composite_chief_primes,
     f_star,
     fitting_p,
     p_soluble_nodes,
@@ -87,14 +88,18 @@ def cyclic_pool(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
 
 
 def maximals_branch(group: FiniteGroup, p_subgroup: Subgroup, p: int) -> bool:
-    return all(
-        partial_s_pi(group, m, p).holds
-        for m in maximal_subgroup_pool(p_subgroup, p)
+    """Every maximal subgroup of the p-group is partial S-Π. When p divides no
+    chief factor of composite order, every p-subgroup is, by the one-series
+    shortcut of ``embedding``, so the pool is not built."""
+    return p not in composite_chief_primes(group) or all(
+        partial_s_pi(group, m, p).holds for m in maximal_subgroup_pool(p_subgroup, p)
     )
 
 
 def cyclics_branch(group: FiniteGroup, p_subgroup: Subgroup, p: int) -> bool:
-    return all(
+    """Every subgroup of ``cyclic_pool`` is partial S-Π; no pool is built
+    when p divides no chief factor of composite order (``maximals_branch``)."""
+    return p not in composite_chief_primes(group) or all(
         partial_s_pi(group, h, p).holds for h in cyclic_pool(p_subgroup, p)
     )
 

@@ -164,6 +164,28 @@ def test_s4_p_supersolubility(by_name):
     assert not se.is_p_supersoluble(s4, 2)
 
 
+def test_composite_chief_primes_against_every_cover(corpus400, group1875, lattice_rich_groups):
+    # one chief series read against every cover pair of the lattice: p is
+    # missing iff every chief factor of order divisible by p has order p,
+    # which is p-supersolubility (a factor of order p is a p-group, every
+    # other one a p'-group), and the set is empty iff every factor is prime
+    from subembed.classify import composite_chief_primes
+    from subembed.subgroups import is_prime
+
+    lattice = [(name, lattice_rich_groups[name]) for name in INVARIANTS_LATTICE]
+    checked = []
+    for name, group in [*corpus400, ("(C5^2xC5^2):C3", group1875), *lattice]:
+        lat = se.normal_lattice(group)
+        factors = {lat.nodes[l].order // lat.nodes[k].order for k, l in lat.covers}
+        composite = composite_chief_primes(group)
+        assert se.is_supersoluble(group) == (not composite) == all(map(is_prime, factors)), name
+        for p in prime_divisors(group.order):
+            oracle = all(n % p or n == p for n in factors)
+            assert (p not in composite) == se.is_p_supersoluble(group, p) == oracle, (name, p)
+            checked.append(oracle)
+    assert (len(checked), checked.count(False)) == (120, 12)
+
+
 def test_soluble_two_routes_agree(lattice_rich_groups):
     groups = apart_corpus(120) + list(lattice_rich_groups.items())
     for name, group in groups:

@@ -20,6 +20,10 @@ from conftest import (
 )
 
 
+# Q8⋊C9: C9 acts on Q8 through C3, so its subgroup C3 is central
+Q8_C9 = se.Perm(17, ("(1 6 2 3)(4 7 8 5)", "(1 4 7)(2 8 5)(9 10 11 12 13 14 15 16 17)"))
+
+
 def idx(group, text):
     return group.index_of(parse_cycles(text, group.degree))
 
@@ -362,9 +366,11 @@ def test_cap_and_gen_cap_match_product_oracles(section_cases):
 
 def test_supersoluble_predicates_build_no_products(corpus400, monkeypatch):
     # every chief factor of a supersoluble group has prime order, so each
-    # section (H∩L)K is K or L and is decided by its order alone
+    # section (H∩L)K is K or L and is decided by its order alone; the
+    # one-series shortcut is turned off, so the search and the scan run
     import subembed.embedding as embedding
     import subembed.subgroups as subgroups
+    from subembed.classify import primes_of_group
 
     calls = []
     real = subgroups.product_mask
@@ -383,6 +389,7 @@ def test_supersoluble_predicates_build_no_products(corpus400, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(subgroups, "product_mask", counting)
             patch.setattr(embedding, "product_mask", counting)
+            patch.setattr(embedding, "composite_chief_primes", primes_of_group)
             for p, h in pool:
                 se.partial_s_pi(group, h, p)
                 se.partial_pi(group, h)
@@ -521,14 +528,21 @@ def test_s_qn_embedded_matches_the_span_search(corpus400, query_mix_groups):
 
 
 @pytest.fixture(scope="module")
-def small_subgroup_sets():
+def subgroups_to_48():
+    """(name, group, masks of every subgroup) for each corpus group of order
+    at most 48, by brute force."""
+    return [(name, group, all_subgroups(group)) for name, group in apart_corpus(48)]
+
+
+@pytest.fixture(scope="module")
+def small_subgroup_sets(subgroups_to_48):
     """(name, group, masks of every subgroup, masks of the S-quasinormal
     ones) for each group of order at most 24, all by brute force."""
-    out = []
-    for name, group in apart_corpus(24):
-        subs = all_subgroups(group)
-        out.append((name, group, subs, brute_s_quasinormal_masks(group, subs)))
-    return out
+    return [
+        (name, group, subs, brute_s_quasinormal_masks(group, subs))
+        for name, group, subs in subgroups_to_48
+        if group.order <= 24
+    ]
 
 
 def test_s_quasinormal_is_exact_on_small_groups(small_subgroup_sets):
@@ -544,7 +558,7 @@ def test_s_quasinormal_is_exact_on_small_groups(small_subgroup_sets):
 @pytest.mark.parametrize(
     "expr, counts",
     [
-        (se.Perm(17, ("(1 6 2 3)(4 7 8 5)", "(1 4 7)(2 8 5)(9 10 11 12 13 14 15 16 17)")), (21, 7)),
+        (Q8_C9, (21, 7)),
         (se.Direct(se.Alt(4), se.Sym(3)), (94, 9)),
         (se.Alt(5), (59, 2)),
     ],
@@ -770,3 +784,99 @@ def test_every_chief_series_verdict_is_pinned(corpus400, query_mix_groups, group
             rows.append([name, p, h.order, *map(key, verdicts)])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert len(rows) == 968 and digest == CHIEF_VERDICTS_SHA256
+
+
+def test_one_series_shortcut_keeps_every_verdict(
+    corpus400, query_mix_groups, group1875, subgroups_to_48, monkeypatch
+):
+    # with composite_chief_primes giving every prime of |G|, the search or
+    # the scan runs for every nontrivial H: (holds, witness, refutation) of
+    # the four predicates must not change, on the rows the pin below covers
+    # and on every subgroup of the corpus groups of order at most 48 (with
+    # partial_s_pi on the nontrivial p-subgroups among them). The shortcut
+    # decides 962 of the rows of nontrivial H; a trivial H meets no prime,
+    # so it takes the shortcut either way
+    import subembed.embedding as embedding
+    from subembed.classify import composite_chief_primes, primes_of_group
+
+    cases = [(g, se.standard_pool(g)) for _, g in [*corpus400, *query_mix_groups, ("", group1875)]]
+    for _, group, subs in subgroups_to_48:
+        rows = []
+        for mask in sorted(subs):
+            primes = prime_divisors(mask.bit_count())
+            rows.append((primes[0] if len(primes) == 1 else None, Subgroup(group, mask)))
+        cases.append((group, rows))
+
+    def verdicts():
+        out = []
+        for group, rows in cases:
+            for section in ("partial_s_pi", "partial_pi", "cap", "gen_cap"):
+                group.cache.pop(section, None)
+            for p, h in rows:
+                s_pi = p and se.partial_s_pi(group, h, p)
+                out.append((s_pi, se.partial_pi(group, h), se.cap(group, h), se.gen_cap(group, h)))
+        return out
+
+    shortcut = verdicts()
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "composite_chief_primes", primes_of_group)
+        searched = verdicts()
+    decided = [
+        h.order > 1 and all(h.order % q for q in composite_chief_primes(group))
+        for group, rows in cases
+        for _, h in rows
+    ]
+    assert shortcut == searched
+    assert (len(decided), decided.count(True)) == (968 + 653, 962)
+
+
+def test_a_chief_series_is_the_all_pass_path(corpus400, group1875, monkeypatch):
+    # with H = G every section (H∩L)K is L, so every cover passes; the search,
+    # with the shortcut off, finds the smallest-successor chain
+    import subembed.embedding as embedding
+    from subembed.classify import primes_of_group
+    from subembed.normal import a_chief_series
+
+    monkeypatch.setattr(embedding, "composite_chief_primes", primes_of_group)
+    for name, group in [*corpus400, ("(C5^2xC5^2):C3", group1875)]:
+        verdict = embedding._some_chief_series(group, Subgroup.whole(group), None)
+        assert verdict.witness == a_chief_series(group).chain, name
+
+
+def test_one_series_shortcut_on_q8_c9(monkeypatch):
+    # Q8⋊C9 has chief factors of orders 2, 3, 4 and 3, so only 2 divides a
+    # composite one: the 3-subgroups are decided with no lattice walk and
+    # no pool for the branches, and the three cyclic subgroups of order 4
+    # still reach the search and fail there
+    import subembed.embedding as embedding
+    import subembed.harness as harness
+    from subembed.classify import composite_chief_primes
+    from subembed.normal import a_chief_series
+
+    group = se.build(Q8_C9)
+    assert a_chief_series(group).factor_orders == (2, 3, 4, 3)
+    assert composite_chief_primes(group) == (2,)
+    walks, real = [], embedding._meet_orders
+
+    def walking(h, lat):
+        walks.append(h.order)
+        return real(h, lat)
+
+    monkeypatch.setattr(embedding, "_meet_orders", walking)
+    p3, p2 = se.sylow(group, 3), se.sylow(group, 2)
+    for h in (p3, *harness.maximal_subgroup_pool(p3, 3), *harness.cyclic_pool(p3, 3)):
+        verdict = se.partial_s_pi(group, h, 3)
+        assert verdict.witness == a_chief_series(group).chain
+        assert se.partial_pi(group, h) and se.cap(group, h) and se.gen_cap(group, h)
+    assert walks == []
+    fours = se.cyclic_subgroups_of_order(p2, 4)
+    assert len(fours) == 3 and not any(se.partial_s_pi(group, h, 2) for h in fours)
+    assert walks == [4, 4, 4]
+    assert not harness.cyclics_branch(group, p2, 2)
+
+    def no_pool(*args):
+        raise AssertionError("a pool was built for a prime the shortcut decides")
+
+    monkeypatch.setattr(harness, "maximal_subgroup_pool", no_pool)
+    monkeypatch.setattr(harness, "cyclic_pool", no_pool)
+    assert harness.maximals_branch(group, p3, 3) and harness.cyclics_branch(group, p3, 3)
