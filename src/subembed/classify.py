@@ -38,6 +38,7 @@ from .subgroups import (
     p_part,
     prime_divisors,
     product_with_normal,
+    require_prime,
     span,
 )
 
@@ -48,15 +49,13 @@ def primes_of_group(group: FiniteGroup) -> tuple[int, ...]:
 
 def sylow(group: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of G, grown by ``_grow_sylow`` from the whole group."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return group.memo("sylow", p, lambda: _grow_sylow(Subgroup.whole(group), p))
 
 
 def sylow_of_subgroup(sub: Subgroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of ``sub``, grown inside the parent group."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if p_part(sub.order, p) == sub.order:
         return sub  # a p-group is its own Sylow p-subgroup
     return _grow_sylow(sub, p)
@@ -112,6 +111,7 @@ def sylow_conjugates(group: FiniteGroup, p: int) -> list[Subgroup]:
 
 def radical_p(group: FiniteGroup, p: int) -> Subgroup:
     """O_p: the largest normal p-subgroup (maximal p-power lattice node)."""
+    require_prime(p)
     if group.order % p:
         return Subgroup.trivial(group)
     if p_part(group.order, p) == group.order:
@@ -121,6 +121,7 @@ def radical_p(group: FiniteGroup, p: int) -> Subgroup:
 
 def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
     """O_p': the largest normal subgroup of order coprime to p."""
+    require_prime(p)
     if group.order % p:
         return Subgroup.whole(group)
     if p_part(group.order, p) == group.order:
@@ -133,8 +134,7 @@ def p_residual(group: FiniteGroup, p: int) -> Subgroup:
     by the p'-elements of G, so it is their span, memoised per (group, p):
     G itself when p does not divide |G|, 1 when G is a p-group. No lattice
     is read, so no node cap applies."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return group.memo(
         "radical", ("O^p", p), lambda: span(group, np.flatnonzero(group.element_orders % p))
     )
@@ -165,6 +165,7 @@ def fitting(group: FiniteGroup) -> Subgroup:
 def fitting_p(group: FiniteGroup, p: int) -> Subgroup:
     """F_p(G) = O_{p',p}(G), the preimage of O_p(G/O_p'(G)): the largest
     node over O_p'(G) whose index over it is a power of p."""
+    require_prime(p)
     o = radical_p_prime(group, p)
     return _largest_normal(
         group, ("F_p", p), lambda n: o.is_subset_of(n) and is_pi_number(n.order // o.order, (p,))
@@ -183,6 +184,7 @@ def is_nilpotent(group: FiniteGroup) -> bool:
 
 def is_p_nilpotent(group: FiniteGroup, p: int) -> bool:
     """A normal p-complement exists: |O_p'(G)| equals the p'-part of |G|."""
+    require_prime(p)
     pp = p_part(group.order, p)
     if pp == 1 or pp == group.order:
         return True
@@ -204,6 +206,7 @@ def is_soluble(group: FiniteGroup) -> bool:
 
 def is_p_soluble(group: FiniteGroup, p: int) -> bool:
     """Every chief factor is a p-group or a p'-group."""
+    require_prime(p)
     if p_part(group.order, p) in (1, group.order):
         return True
     return p_soluble_nodes(group, p)[-1]
@@ -255,6 +258,7 @@ def is_supersoluble(group: FiniteGroup) -> bool:
 def is_p_supersoluble(group: FiniteGroup, p: int) -> bool:
     """Every chief factor of order divisible by p has order p (so G is
     p-soluble: each other factor is a p'-group)."""
+    require_prime(p)
     return p not in composite_chief_primes(group)
 
 

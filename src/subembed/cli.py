@@ -40,7 +40,7 @@ PROPERTIES = tuple(PREDICATES)
 # what the text format prints when a predicate that reads no chief series fails
 NOT_HOLDING = {
     "s-quasinormal": "it does not permute with some Sylow subgroup of the group",
-    "s-qn-embedded": "some Sylow subgroup of it is a Sylow subgroup of no S-quasinormal subgroup the search found",
+    "s-qn-embedded": "no S-quasinormal subgroup has a Sylow q-subgroup of it as a Sylow subgroup",
 }
 
 
@@ -83,8 +83,6 @@ def _cmd_check(args) -> int:
     verdict = PREDICATES[prop](group, sub, *primes)
     if primes:
         result["prime"] = args.prime
-    if prop == "s-qn-embedded":
-        result["note"] = "witness search is best-effort; True answers are verified"
     result["holds"] = verdict.holds
     witness, r = verdict.witness, verdict.refutation
     if witness is not None or r is not None:

@@ -64,13 +64,13 @@ from .subgroups import (
     Subgroup,
     intersect,
     is_pi_number,
-    is_prime,
     normalizer,
     p_part,
     prime_divisors,
     product_mask,
     product_with_normal,
     require_own_subgroup,
+    require_prime,
 )
 
 
@@ -211,8 +211,7 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
         return _non_hall_prime(lat, k, l, x) is None or _normalizer_is_pi(group, h, lat, k, l, x)
 
     def search() -> Verdict:  # a stored (mask, p) passed these checks
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         if p_part(h.order, p) != h.order:
             raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
         return _some_chief_series(group, h, passes)
@@ -289,10 +288,18 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
     lattice nodes N, in lattice order, for which q does not divide
     |N : H_q∩N|. N is normal, so H_q·N is a subgroup of order
     |H_q|·|N : H_q∩N| with H_q as a Sylow q-subgroup, and each is built by
-    one Cayley-table gather only when the search reaches it. A True answer
-    is sound (the witness is checked); a False answer means no candidate in
-    that family worked, which is a best-effort bound since full
-    S-quasinormal subgroup enumeration is infeasible for large groups.
+    one Cayley-table gather only when the search reaches it.
+
+    The search is exact. Let T be S-quasinormal with H_q as a Sylow
+    q-subgroup, and let N = T_G, a lattice node. H_q∩N is Sylow in N, so q
+    does not divide |N : H_q∩N|. By Schmid, T/N ≤ Z_inf(G/N). Let C ≥ N be
+    the core of H_q·N; the image of Z_inf(G/N) in G/C lies in Z_inf(G/C),
+    so H_q·N/C ≤ Z_inf(G/C), and by the converse ``s_quasinormal`` relies
+    on, H_q·N is S-quasinormal with H_q Sylow in it. So a product H_q·N
+    over the nodes N is a witness whenever any witness exists, and the
+    choice of H_q does not matter, since the Sylow q-subgroups of H are
+    conjugate in H. Past the lattice's node cap it raises, as
+    ``normal_lattice`` does.
     """
     require_own_subgroup(group, h)
 

@@ -31,9 +31,18 @@ closed subgroup H to <H, g> one right coset H·r at a time (Dimino's
 algorithm; Holt–Eick–O'Brien, *Handbook of Computational Group Theory*,
 2005), each coset one gather from a table column; it is where the indices
 of a generating set are checked. From H = 1 a coset has one element, so the
-first step walks the powers g, g^2, ... of g through the table until 1 and
-sets them in one scatter: every cyclic span, and the first generator of
-every other closure, takes that walk. :func:`closure_indices` extends {1}.
+first step walks the powers g, g^2, ... of g through the table until 1
+(:meth:`FiniteGroup.powers`) and sets them in one scatter; the first
+generator of every closure takes that walk, and ``subgroups.span`` walks a
+cyclic span's powers straight into its mask. A long walk over a small H
+pays a gather and a scatter per coset, so after ``_LABEL_AFTER_COSETS``
+right cosets of an H of at most ``_LABEL_MAX_ORDER`` elements the closure
+labels every element x with the least element of its left coset x·H (the
+minimum over |H| table columns; H is replaced by <s> for a generator s of
+larger order) and walks those labels instead, one set lookup per coset
+and generator: the union of left cosets it reaches holds 1 and is closed
+under left multiplication by every generator, so it is <H, g>.
+:func:`closure_indices` extends {1}.
 :meth:`FiniteGroup.commutators` reads the block of [x, y] over two
 index lists from two table blocks and one inverse gather; a normal closure
 conjugates only generators, x^g for every g in ``gs`` being the one gather
@@ -80,6 +89,11 @@ from .perms import Permutation
 
 DEFAULT_ORDER_CAP = 10000
 _GATHER_ENTRIES = 1 << 14  # points per frontier gather in generate_group
+# extend_closure labels left cosets after this many right cosets of an H of
+# at most _LABEL_MAX_ORDER elements; labelling after 2 or 3 cosets made the
+# order-1875 group's short walks dearer, after 8 the long ones of S6
+_LABEL_AFTER_COSETS = 4
+_LABEL_MAX_ORDER = 16
 
 
 class FiniteGroup:
@@ -223,6 +237,14 @@ class FiniteGroup:
 
     def mult(self, i: int, j: int) -> int:
         return int(self.table[i, j])
+
+    def powers(self, g: int) -> list[int]:
+        """g, g^2, ... up to and including 1 (index 0), walked through the
+        table: the elements of <g>, in the order of the exponents."""
+        table, out = self.table, [g]
+        while out[-1]:
+            out.append(table.item(out[-1], g))
+        return out
 
     def mult_many(self, idxs: np.ndarray, j: int) -> np.ndarray:
         """Indices of x*j for every x in ``idxs``."""
@@ -409,10 +431,17 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
     representative. The union then holds r·s for every r and s, so, as a
     union of right cosets of H, it is closed under right multiplication by
     every generator: it is the subgroup. The first step, from H = 1 with no
-    generators, is the power walk g, g^2, ..., 1, with no cosets. Once the
-    union holds more than half of G it stops and ``member`` becomes all of
-    G, since by Lagrange a subgroup with more than |G|/2 elements is G. That
-    leaves ``gens`` as the full run would: every later element lies in G.
+    generators, is the power walk g, g^2, ..., 1 (:meth:`FiniteGroup.powers`),
+    with no cosets. Once the union holds more than half of G it stops and
+    ``member`` becomes all of G, since by Lagrange a subgroup with more than
+    |G|/2 elements is G. That leaves ``gens`` as the full run would: every
+    later element lies in G.
+
+    Each right coset costs a gather and a scatter of |H| entries. When the
+    walk has added more than ``_LABEL_AFTER_COSETS`` cosets of an H of at
+    most ``_LABEL_MAX_ORDER`` elements, the rest of the walk goes over
+    labelled left cosets instead (:func:`_close_over_left_cosets`), one
+    Python set lookup per coset and generator.
     """
     table = group.table
     for g in group._checked(new):
@@ -420,17 +449,18 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
             continue
         gens.append(g)
         if len(gens) == 1:  # member is {1}, so <g> is the powers of g
-            powers = [g]
-            while powers[-1]:
-                powers.append(table.item(powers[-1], g))
-            member.put(powers, True)
+            member.put(group.powers(g), True)
             continue
         base = member.nonzero()[0]
         member[table[:, g].take(base).astype(np.intp)] = True
         reps = [g]
+        label_after = _LABEL_AFTER_COSETS if len(base) <= _LABEL_MAX_ORDER else group.order
         for r in reps:  # breadth first: the list grows while it is read
             if 2 * len(base) * (len(reps) + 1) > group.order:
                 member[:] = True  # H and len(reps) cosets: over half of G
+                break
+            if len(reps) > label_after:
+                _close_over_left_cosets(group, member, base, gens)
                 break
             for s in gens:
                 x = table.item(r, s)
@@ -438,6 +468,40 @@ def extend_closure(group: FiniteGroup, member: np.ndarray, gens: list, new) -> n
                     member[table[:, x].take(base).astype(np.intp)] = True
                     reps.append(x)
     return member
+
+
+def _close_over_left_cosets(group: FiniteGroup, member: np.ndarray, base, gens) -> None:
+    """Set ``member`` to <gens>, given the elements ``base`` of a subgroup
+    of it, by a walk over the left cosets x·H of a subgroup H of <gens>.
+
+    H is the subgroup of ``base``, or <s> for a generator s of larger
+    order, which has fewer cosets. Every element x is labelled with the least element of
+    x·H, the minimum of row x of the |H| table columns of H's elements. The
+    walk starts from H (label 0) and, for each labelled representative r
+    and generator s, adds the coset of s·r when its label is new. The union
+    of the cosets found holds 1 and is closed under left multiplication by
+    every generator, so it is <gens>; ``member`` is read off the labels in
+    one gather. The same over-half exit as the right-coset walk applies.
+    """
+    table, orders = group.table, group.element_orders
+    for s in gens:
+        if orders.item(s) > len(base):
+            base = group.powers(s)
+    labels = table[:, base].min(axis=1)
+    label, product = labels.item, table.item
+    seen, reps = {0}, [0]
+    for r in reps:  # breadth first: the list grows while it is read
+        if 2 * len(base) * len(reps) > group.order:
+            member[:] = True
+            return
+        for s in gens:
+            x = label(product(s, r))
+            if x not in seen:
+                seen.add(x)
+                reps.append(x)
+    flags = np.zeros(group.order, dtype=bool)
+    flags.put(reps, True)
+    member[:] = flags.take(labels)
 
 
 def orbit_labels(maps: np.ndarray) -> np.ndarray:

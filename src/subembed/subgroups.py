@@ -134,9 +134,24 @@ class Subgroup:
 
 
 def span(group: FiniteGroup, seed) -> Subgroup:
-    """Smallest subgroup of ``group`` containing the seed element indices."""
+    """Smallest subgroup of ``group`` containing the seed element indices.
+
+    A seed of one distinct element g spans <g>, whose powers are walked
+    straight into the mask (:meth:`FiniteGroup.powers`); any other seed is
+    closed by ``extend_closure``."""
+    seed = group._checked(seed)
+    if len(set(seed)) == 1:
+        return Subgroup(group, mask_of_powers(group, seed[0]))
     member = extend_closure(group, trivial_member(group.order), [], seed)
     return Subgroup(group, mask_from_bool(member))
+
+
+def mask_of_powers(group: FiniteGroup, g: int) -> int:
+    """The bitmask of <g>."""
+    mask = 0
+    for x in group.powers(g):
+        mask |= 1 << x
+    return mask
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -293,8 +308,16 @@ def prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def is_prime(n: int) -> bool:
     return n > 1 and prime_divisors(n) == (n,)
+
+
+def require_prime(p: int) -> None:
+    """Raise ``ValueError`` unless p is prime: the one check of every
+    public function that takes a prime (a cached lookup per p)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def is_p_group(h: Subgroup, p: int) -> bool:
@@ -312,8 +335,7 @@ def is_cyclic_subgroup(h: Subgroup) -> bool:
 
 
 def _require_p_group(h: Subgroup, p: int):
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if not is_p_group(h, p):
         raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
 
@@ -347,7 +369,7 @@ def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
     are ordered by the position of their leading 1, then lexicographically.
 
     A cyclic P = <x> has exactly one maximal subgroup, <x^p> = Phi(P); it
-    is read off a walk of the powers of x^p through the table, with no Phi."""
+    is the mask of the powers of x^p (``mask_of_powers``), with no Phi."""
     _require_p_group(p_subgroup, p)
     if p_subgroup.order == 1:
         return []
@@ -357,10 +379,7 @@ def p_group_maximal_subgroups(p_subgroup: Subgroup, p: int) -> list[Subgroup]:
         x = y = int(p_subgroup.index_array[orders.argmax()])
         for _ in range(p - 1):
             y = table.item(y, x)
-        mask, z = 1, y
-        while z:
-            mask |= 1 << z
-            z = table.item(z, y)
+        mask = mask_of_powers(group, y)
         if mask.bit_count() * p != p_subgroup.order:
             raise InvariantError("<x^p> is not of index p in the cyclic <x>")
         return [Subgroup(group, mask)]

@@ -118,6 +118,23 @@ def test_p_residual_is_the_least_normal_subgroup_of_p_power_index(lattice_rich_g
         se.p_residual(groups[0][1], 4)
 
 
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_every_function_of_a_prime_rejects_a_non_prime(by_name, p):
+    # S4 is not 2-supersoluble, so a 4 or 6 read as "some prime" would have
+    # answered True before; 1 would have reached p_part's base check
+    s4 = by_name["S4"]
+    for fn in (
+        se.is_p_soluble,
+        se.is_p_supersoluble,
+        se.classify.is_p_nilpotent,
+        se.radical_p,
+        se.classify.radical_p_prime,
+        se.classify.fitting_p,
+    ):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            fn(s4, p)
+
+
 def test_p_soluble_nodes_of_a_prime_not_dividing_the_order(by_name):
     # every chief factor of S4 is a 5'-group
     s4 = by_name["S4"]

@@ -94,7 +94,7 @@ def test_check_rejects_subgroup_not_in_group(a5_file):
         ("s-quasinormal", "it does not permute with some Sylow subgroup of the group"),
         (
             "s-qn-embedded",
-            "some Sylow subgroup of it is a Sylow subgroup of no S-quasinormal subgroup the search found",
+            "no S-quasinormal subgroup has a Sylow q-subgroup of it as a Sylow subgroup",
         ),
     ],
     ids=["s-quasinormal", "s-qn-embedded"],

@@ -81,7 +81,7 @@ def test_partial_s_pi_checks_its_input_around_the_memo(monkeypatch):
     with pytest.raises(ValueError, match="different parent group"):
         se.partial_s_pi(s4, Subgroup(other, h.mask), 2)
     calls = []
-    monkeypatch.setattr(embedding, "is_prime", lambda p: calls.append(p) or True)
+    monkeypatch.setattr(embedding, "require_prime", calls.append)
     assert se.partial_s_pi(s4, h, 2).holds and calls == []
 
 
@@ -555,21 +555,31 @@ def test_s_quasinormal_is_exact_on_small_groups(small_subgroup_sets):
     assert len(answers) == 444 and answers.count(False) == 177
 
 
+@pytest.fixture(scope="module")
+def past_the_corpus_sets():
+    """(name, group, masks of every subgroup, masks of the S-quasinormal
+    ones) for three groups outside the corpus, all by brute force."""
+    out = []
+    for name, expr in [
+        ("Q8:C9", Q8_C9),
+        ("A4xS3", se.Direct(se.Alt(4), se.Sym(3))),
+        ("A5", se.Alt(5)),
+    ]:
+        group = se.build(expr)
+        subs = all_subgroups(group)
+        out.append((name, group, subs, brute_s_quasinormal_masks(group, subs)))
+    return out
+
+
 @pytest.mark.parametrize(
-    "expr, counts",
-    [
-        (Q8_C9, (21, 7)),
-        (se.Direct(se.Alt(4), se.Sym(3)), (94, 9)),
-        (se.Alt(5), (59, 2)),
-    ],
+    "name, counts",
+    [("Q8:C9", (21, 7)), ("A4xS3", (94, 9)), ("A5", (59, 2))],
     ids=["Q8:C9", "A4xS3", "A5"],
 )
-def test_s_quasinormal_is_exact_past_the_corpus(expr, counts):
+def test_s_quasinormal_is_exact_past_the_corpus(past_the_corpus_sets, name, counts):
     # every subgroup of three groups outside the corpus, against the product
     # sets of every Sylow subgroup: (subgroups, S-quasinormal ones)
-    group = se.build(expr)
-    subs = all_subgroups(group)
-    quasinormal = brute_s_quasinormal_masks(group, subs)
+    _, group, subs, quasinormal = next(row for row in past_the_corpus_sets if row[0] == name)
     for mask in subs:
         got = se.s_quasinormal(group, Subgroup(group, mask))
         assert got == (mask in quasinormal), mask.bit_count()
@@ -648,17 +658,21 @@ def test_s_quasinormal_past_the_lattice_cap():
     assert answers.count((2, False)) == 1 and answers[-1] == (6, True)
 
 
-def test_s_qn_embedded_is_exact_on_small_groups(small_subgroup_sets):
+def test_s_qn_embedded_is_exact_on_small_groups(small_subgroup_sets, past_the_corpus_sets):
     # brute force over every subgroup: for each prime q of |H| some
-    # S-quasinormal W of G has H_q as a Sylow q-subgroup
-    answers = []
-    for name, group, subs, quasinormal in small_subgroup_sets:
-        for mask in sorted(subs - {1}):
-            h = Subgroup(group, mask)
-            expected = brute_s_qn_embedded(h, subs, quasinormal)
-            assert se.s_qn_embedded(group, h) == expected, (name, h.order)
-            answers.append(expected)
-    assert len(answers) == 396 and answers.count(False) == 25
+    # S-quasinormal W of G has H_q as a Sylow q-subgroup; the corpus groups
+    # of order at most 24, then Q8:C9, A4xS3 and A5
+    counts = []
+    for sets in (small_subgroup_sets, past_the_corpus_sets):
+        answers = []
+        for name, group, subs, quasinormal in sets:
+            for mask in sorted(subs - {1}):
+                h = Subgroup(group, mask)
+                expected = brute_s_qn_embedded(h, subs, quasinormal)
+                assert se.s_qn_embedded(group, h) == expected, (name, h.order)
+                answers.append(expected)
+        counts.append((len(answers), answers.count(False)))
+    assert counts == [(396, 25), (171, 89)]
 
 
 def _fresh_s6_and_sl23_s4():

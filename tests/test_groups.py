@@ -22,6 +22,8 @@ from conftest import (
     raw_compose,
     raw_inverse,
     reference_generate_group,
+    row_closure,
+    row_lookup,
 )
 
 
@@ -233,9 +235,7 @@ def test_cyclic_closure_is_the_power_walk():
     # powers of g under tuple composition, and g the one generator kept
     from subembed.groups import closure_indices, extend_closure
 
-    groups = [g for _, g in apart_corpus(60)]
-    groups += [se.build(se.Sym(6)), se.build(se.Direct(se.SL23(), se.Sym(4)))]
-    for group in groups:
+    for group in _cyclic_walk_groups():
         images = [group.perm(i).images for i in range(group.order)]
         identity = images[0]
         for g in range(group.order):
@@ -250,6 +250,51 @@ def test_cyclic_closure_is_the_power_walk():
             member = extend_closure(group, np.arange(group.order) == 0, gens, [g])
             assert gens == ([g] if g else []), (group.name, g)
             assert (member.nonzero()[0] == members).all(), (group.name, g)
+
+
+def _cyclic_walk_groups():
+    groups = [g for _, g in apart_corpus(60)]
+    return groups + [se.build(se.Sym(6)), se.build(se.Direct(se.SL23(), se.Sym(4)))]
+
+
+def test_cyclic_span_is_the_power_walk():
+    # span of one distinct element walks its powers straight into the mask:
+    # the same subgroup as the closure, however often the element is given
+    from subembed.groups import closure_indices
+
+    for group in _cyclic_walk_groups():
+        for g in range(group.order):
+            members = closure_indices(group, [g]).tolist()
+            assert se.span(group, [g]).indices == tuple(members), (group.name, g)
+            assert se.span(group, [g, g]).indices == tuple(members), (group.name, g)
+        assert se.span(group, [0]) == se.Subgroup.trivial(group)
+
+
+@pytest.mark.parametrize(
+    "gens, order",
+    [(("(1 2 3 4 5)", "(1 2 3)"), 60), (("(1 2 3 4 5 6)", "(1 2)"), 720)],
+    ids=["A5-in-the-label-walk", "S6-over-half"],
+)
+def test_label_walk_matches_row_closure(monkeypatch, gens, order):
+    # from <g1> of order 5 or 6, <g1, g2> in S6 needs 12 or 120 cosets, so
+    # the walk goes over to left-coset labels; A5 ends there, S6 takes the
+    # over-half exit. Both against the closure over image rows, no table
+    import subembed.groups as groups
+
+    calls = []
+    walk = groups._close_over_left_cosets
+
+    def counted(group, member, base, gs):
+        calls.append(len(base))
+        return walk(group, member, base, gs)
+
+    monkeypatch.setattr(groups, "_close_over_left_cosets", counted)
+    s6 = se.build(se.Sym(6))
+    idxs = [s6.index_of(parse_cycles(t, 6)) for t in gens]
+    member = groups.closure_indices(s6, idxs)
+    assert calls == [s6.element_order(idxs[0])]
+    expected = row_closure(s6, row_lookup(s6), [0], idxs).nonzero()[0]
+    assert len(member) == order and member.tolist() == expected.tolist()
 
 
 def test_closure_keeps_index_two_subgroups():

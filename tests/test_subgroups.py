@@ -461,11 +461,22 @@ def test_one_pass_span_matches_greedy_closure(data):
     assert sub.gens == tuple(picks)
 
 
-def test_span_and_gens_match_greedy_closure_where_cosets_are_many(group1875):
+def test_span_and_gens_match_greedy_closure_where_cosets_are_many(group1875, monkeypatch):
     # S6 and SL(2,3)xS4 (order 576), two query-mix groups built fresh so no
     # generators are cached, need many cosets of small subgroups from few
-    # generators; the order-625 Sylow 5-subgroup of the order-1875 group is
-    # reached through a chain of up to four coset extensions
+    # generators, so their closures go over to left-coset labels; the
+    # order-625 Sylow 5-subgroup of the order-1875 group is reached through
+    # a chain of up to four coset extensions, each of few cosets
+    import subembed.groups as groups
+
+    labelled = []
+    walk = groups._close_over_left_cosets
+
+    def counted(group, *rest):
+        labelled.append(group.order)
+        return walk(group, *rest)
+
+    monkeypatch.setattr(groups, "_close_over_left_cosets", counted)
     sylow5 = se.sylow(group1875, 5)
     rng = random.Random(13)
     for group, pool, expected in [
@@ -483,6 +494,7 @@ def test_span_and_gens_match_greedy_closure_where_cosets_are_many(group1875):
             assert sub.gens == tuple(picks)
             orders.append(sub.order)
         assert orders == expected
+    assert set(labelled) == {720, 576}
 
 
 def _hyperplane_kernels(p_subgroup, p):
