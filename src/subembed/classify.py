@@ -39,7 +39,6 @@ from .subgroups import (
     prime_divisors,
     product_with_normal,
     require_prime,
-    span,
 )
 
 
@@ -127,17 +126,6 @@ def radical_p_prime(group: FiniteGroup, p: int) -> Subgroup:
     if p_part(group.order, p) == group.order:
         return Subgroup.trivial(group)
     return _largest_normal(group, ("O_p'", p), lambda n: n.order % p != 0)
-
-
-def p_residual(group: FiniteGroup, p: int) -> Subgroup:
-    """O^p(G), the least normal subgroup of p-power index. It is generated
-    by the p'-elements of G, so it is their span, memoised per (group, p):
-    G itself when p does not divide |G|, 1 when G is a p-group. No lattice
-    is read, so no node cap applies."""
-    require_prime(p)
-    return group.memo(
-        "radical", ("O^p", p), lambda: span(group, np.flatnonzero(group.element_orders % p))
-    )
 
 
 def _largest_normal(group: FiniteGroup, key, passes) -> Subgroup:

@@ -85,14 +85,13 @@ def _cmd_check(args) -> int:
         result["prime"] = args.prime
     result["holds"] = verdict.holds
     witness, r = verdict.witness, verdict.refutation
-    if witness is not None or r is not None:
-        orders = [node.order for node in normal_lattice(group).nodes]
     if witness is not None:
-        result["witness_node_orders"] = [orders[i] for i in witness]
-        detail = " < ".join(str(orders[i]) for i in witness)
+        result["witness_node_orders"] = [s.order for s in witness]
+        detail = " < ".join(str(s.order) for s in witness)
     elif r is not None:
-        result["refutation"] = {"lower_order": orders[r.lower], "upper_order": orders[r.upper], "reason": r.reason}
-        detail = f"factor {orders[r.upper] // orders[r.lower]} over the order-{orders[r.lower]} node: {r.reason}"
+        low, high = r.lower.order, r.upper.order
+        result["refutation"] = {"lower_order": low, "upper_order": high, "reason": r.reason}
+        detail = f"factor {high // low} over the order-{low} node: {r.reason}"
     else:
         detail = NOT_HOLDING.get(prop, "no admissible chief series")
     if args.format == "json":
@@ -142,7 +141,7 @@ def _cmd_chief(args) -> int:
     series = chief_series_enumerate(group, args.enumerate_limit)
     print(f"chief series: {len(series)}")
     for s in series:
-        orders = " < ".join(str(lat.nodes[i].order) for i in s.chain)
+        orders = " < ".join(str(term.order) for term in s.chain)
         factors = ", ".join(str(f) for f in s.factor_orders)
         print(f"  {orders}   (factors {factors})")
     return 0

@@ -4,10 +4,10 @@ Each chief-series predicate tests every chief factor L/K, that is, every
 cover pair (K, L) of the normal lattice. "Some chief series works"
 (``partial_s_pi``, ``partial_pi``) is single-source reachability in the
 cover-pair DAG: chief series are its maximal chains, so a path of passing
-covers from the trivial node to the top exists iff an admissible chief
-series does, and no chain is enumerated (elementary abelian groups have
-exponentially many). "Every chief factor works" (``cap``, ``gen_cap``)
-scans the cover pairs and reports the first one that fails.
+covers from 1 to G exists iff an admissible chief series does. No chain
+is enumerated (elementary abelian groups have exponentially many); the
+path found is the witness, a chief series, bottom to top. "Every chief
+factor works" (``cap``, ``gen_cap``) scans the covers for a failing one.
 
 One-series shortcut: a section strictly between K and L has |X : K| > 1
 dividing |H| and |L : K|, and no factor of prime order has one. So when no
@@ -76,17 +76,19 @@ from .subgroups import (
 
 @dataclass(frozen=True)
 class Refutation:
-    """A violating chief factor nodes[lower] < nodes[upper] and the failed clause."""
+    """A failing chief factor L/K, as K = ``lower`` and L = ``upper``, and the failed clause."""
 
-    lower: int
-    upper: int
+    lower: Subgroup
+    upper: Subgroup
     reason: str
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """A predicate's answer, with a witness or a refutation where it has one."""
+
     holds: bool
-    witness: tuple[int, ...] | None = None  # lattice node ids, bottom to top
+    witness: tuple[Subgroup, ...] | None = None  # a chief series, bottom to top
     refutation: Refutation | None = None
 
     def __bool__(self) -> bool:
@@ -178,7 +180,7 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, passes) -> Verdict:
                     path = [upper]
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
-                    return Verdict(True, witness=tuple(reversed(path)))
+                    return Verdict(True, witness=tuple(lat.nodes[i] for i in reversed(path)))
                 nxt.append(upper)
         frontier = nxt
     return Verdict(False)
@@ -195,7 +197,7 @@ def _every_chief_factor(group: FiniteGroup, h: Subgroup, fails) -> Verdict:
     for k, l in lat.covers:
         x = meet[l] * orders[k] // meet[k]
         if x != orders[k] and x != orders[l] and (reason := fails(lat, k, l, x)) is not None:
-            return Verdict(False, refutation=Refutation(k, l, reason))
+            return Verdict(False, refutation=Refutation(lat.nodes[k], lat.nodes[l], reason))
     return Verdict(True)
 
 
@@ -203,8 +205,7 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     """True iff some chief series of G has, on every factor L/K, either
     (H∩L)K/K a Sylow p-subgroup of L/K, or |G : N_G((H∩L)K)| a p-number.
 
-    H must be a p-subgroup of G, so pi((H∩L)K/K) = {p} and Sylow is Hall.
-    """
+    H must be a p-subgroup of G, so pi((H∩L)K/K) = {p} and Sylow is Hall."""
     require_own_subgroup(group, h)
 
     def passes(lat: NormalLattice, k: int, l: int, x: int) -> bool:
@@ -319,23 +320,22 @@ def s_qn_embedded(group: FiniteGroup, h: Subgroup) -> bool:
 
 
 def recheck_witness_partial_s_pi(
-    group: FiniteGroup, h: Subgroup, p: int, chain: tuple[int, ...]
+    group: FiniteGroup, h: Subgroup, p: int, chain: tuple[Subgroup, ...]
 ) -> bool:
-    """Re-validate a witness chain clause by clause (used for spot audits).
+    """Re-validate a witness chief series clause by clause (used for spot audits).
 
+    The chain must run from 1 to G along covers of ``group``'s normal lattice.
     Each section (H∩L)K is built as a product and its normalizer scanned,
-    independently of the order tests and the centralizer bound the
-    predicate itself uses."""
+    independently of the order tests and the centralizer bound the predicate uses."""
     lat = normal_lattice(group)
-    if not chain or chain[0] != 0 or chain[-1] != lat.top:
+    ids = [lat.node_by_mask.get(s.mask) if s.group is group else None for s in chain]
+    if not ids or ids[0] != 0 or ids[-1] != lat.top:
         return False
-    cover_set = set(lat.covers)
-    for k, l in zip(chain, chain[1:]):
-        if (k, l) not in cover_set:
+    for k, l, low, high in zip(ids, ids[1:], chain, chain[1:]):
+        if l not in lat.up[k]:  # k passed this test as the l before, or is 0
             return False
-        x = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])
-        factor = lat.nodes[l].order // lat.nodes[k].order
-        sylow_clause = x.order // lat.nodes[k].order == p_part(factor, p)
+        x = product_with_normal(intersect(h, high), low)
+        sylow_clause = x.order // low.order == p_part(high.order // low.order, p)
         index = group.order // normalizer(group, x).order
         if not sylow_clause and not is_pi_number(index, (p,)):
             return False

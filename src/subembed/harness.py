@@ -202,12 +202,8 @@ def _h_partial_s_pi(group: FiniteGroup, b: dict):
     """H satisfies partial S-Π; the audit gives the witness's factor orders."""
     verdict = partial_s_pi(group, b["H"], b["p"])
     audit = {}
-    if verdict.witness is not None:
-        nodes = normal_lattice(group).nodes
-        audit["witness_factor_orders"] = [
-            nodes[hi].order // nodes[lo].order
-            for lo, hi in zip(verdict.witness, verdict.witness[1:])
-        ]
+    if (chain := verdict.witness) is not None:
+        audit["witness_factor_orders"] = [hi.order // lo.order for lo, hi in zip(chain, chain[1:])]
     return verdict.holds, audit
 
 

@@ -165,17 +165,17 @@ def _sort_key(mask: int, width: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ChiefSeries:
-    """A maximal chain in the normal lattice from the trivial node to the top."""
+    """A chief series 1 = G_0 < ... < G_n = G, bottom to top: a maximal chain
+    of normal subgroups, each factor G_i/G_(i-1) a chief factor of order
+    ``factor_orders[i - 1]``."""
 
-    chain: tuple[int, ...]  # lattice node ids, bottom to top
+    chain: tuple[Subgroup, ...]
     factor_orders: tuple[int, ...]
 
 
-def _series_along(lat: NormalLattice, chain: tuple[int, ...]) -> ChiefSeries:
-    return ChiefSeries(
-        chain,
-        tuple(lat.nodes[b].order // lat.nodes[a].order for a, b in zip(chain, chain[1:])),
-    )
+def _series_along(lat: NormalLattice, path: tuple[int, ...]) -> ChiefSeries:
+    chain = tuple(lat.nodes[i] for i in path)
+    return ChiefSeries(chain, tuple(b.order // a.order for a, b in zip(chain, chain[1:])))
 
 
 def chief_series_enumerate(group: FiniteGroup, limit: int) -> list[ChiefSeries]:

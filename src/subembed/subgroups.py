@@ -138,10 +138,12 @@ def span(group: FiniteGroup, seed) -> Subgroup:
 
     A seed of one distinct element g spans <g>, whose powers are walked
     straight into the mask (:meth:`FiniteGroup.powers`); any other seed is
-    closed by ``extend_closure``."""
-    seed = group._checked(seed)
-    if len(set(seed)) == 1:
-        return Subgroup(group, mask_of_powers(group, seed[0]))
+    closed by ``extend_closure``, which range-checks it: the seed is
+    checked once on either path."""
+    seed = seed.tolist() if isinstance(seed, np.ndarray) else list(seed)
+    if len(distinct := set(seed)) == 1:
+        (g,) = group._checked(distinct)
+        return Subgroup(group, mask_of_powers(group, g))
     member = extend_closure(group, trivial_member(group.order), [], seed)
     return Subgroup(group, mask_from_bool(member))
 

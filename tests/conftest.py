@@ -295,10 +295,8 @@ def soluble_by_chief_factors(group) -> bool:
     from subembed.normal import a_chief_series
     from subembed.subgroups import prime_divisors
 
-    lat = se.normal_lattice(group)
     chain = a_chief_series(group).chain
-    for a, b in zip(chain, chain[1:]):
-        low, high = lat.nodes[a], lat.nodes[b]
+    for low, high in zip(chain, chain[1:]):
         if len(prime_divisors(high.order // low.order)) != 1:
             return False
         if not factor_is_abelian(group, low, high):
@@ -329,11 +327,9 @@ def brute_partial_s_pi(group, h, p, series_limit=500) -> bool:
     """Oracle: explicitly enumerate chief series and test every factor."""
     from subembed.subgroups import p_part, product_with_normal
 
-    lat = se.normal_lattice(group)
     for series in se.chief_series_enumerate(group, series_limit):
         ok = True
-        for k, l in zip(series.chain, series.chain[1:]):
-            low, high = lat.nodes[k], lat.nodes[l]
+        for low, high in zip(series.chain, series.chain[1:]):
             x = product_with_normal(se.intersect(h, high), low)
             factor = high.order // low.order
             if x.order // low.order == p_part(factor, p):
@@ -467,7 +463,7 @@ def product_cap(group, h):
             continue
         if high.mask & ~product_mask(h, low) == 0:
             continue
-        return False, (k, l), "neither covers nor avoids"
+        return False, (low, high), "neither covers nor avoids"
     return True, None, None
 
 
@@ -487,11 +483,11 @@ def product_gen_cap(group, h):
             index = group.order // se.normalizer(group, x).order
             if se.is_pi_number(index, (q,)):
                 continue
-            return False, (k, l), f"|G : N_G((H∩L)K)| is not a {q}-number"
+            return False, (low, high), f"|G : N_G((H∩L)K)| is not a {q}-number"
         cofactor = high.order // x.order
         bad = [q for q in prime_divisors(x.order // low.order) if cofactor % q == 0]
         if bad:
-            return False, (k, l), f"|L : (H∩L)K| is divisible by {bad[0]}"
+            return False, (low, high), f"|L : (H∩L)K| is divisible by {bad[0]}"
     return True, None, None
 
 

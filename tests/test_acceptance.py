@@ -150,14 +150,10 @@ def test_criterion_6_oracle_equivalences(group1875):
             series = se.chief_series_enumerate(group, 200)
         except ResourceCapError:
             continue
-        lat = se.normal_lattice(group)
 
         def signature(s):
             return sorted(
-                (
-                    lat.nodes[b].order // lat.nodes[a].order,
-                    factor_is_abelian(group, lat.nodes[a], lat.nodes[b]),
-                )
+                (b.order // a.order, factor_is_abelian(group, a, b))
                 for a, b in zip(s.chain, s.chain[1:])
             )
 

@@ -103,21 +103,6 @@ def test_radicals_against_brute_force(by_name):
             assert se.radical_p_prime(group, p).mask == max(p_prime, key=int.bit_count)
 
 
-def test_p_residual_is_the_least_normal_subgroup_of_p_power_index(lattice_rich_groups):
-    # oracle: the lattice nodes of p-power index, the least of which must lie
-    # in every other; 37 divides no order here, so O^37(G) = G
-    groups = apart_corpus(120) + list(lattice_rich_groups.items())
-    for name, group in groups:
-        nodes = se.normal_lattice(group).nodes
-        for p in (*prime_divisors(group.order), 37):
-            passing = [n for n in nodes if p_part(group.order // n.order, p) == group.order // n.order]
-            least = min(passing, key=lambda n: n.order)
-            assert all(least.is_subset_of(n) for n in passing), (name, p)
-            assert se.p_residual(group, p) == least, (name, p)
-    with pytest.raises(ValueError, match="not prime"):
-        se.p_residual(groups[0][1], 4)
-
-
 @pytest.mark.parametrize("p", [1, 4, 6])
 def test_every_function_of_a_prime_rejects_a_non_prime(by_name, p):
     # S4 is not 2-supersoluble, so a 4 or 6 read as "some prime" would have

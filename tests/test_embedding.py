@@ -33,7 +33,7 @@ def test_a5_sylow5_satisfies_partial_s_pi(by_name):
     h = se.sylow(a5, 5)
     verdict = se.partial_s_pi(a5, h, 5)
     assert verdict.holds
-    assert verdict.witness == (0, 1)
+    assert verdict.witness == (Subgroup.trivial(a5), Subgroup.whole(a5))
 
 
 def test_a5_sylow5_fails_partial_pi(by_name):
@@ -96,11 +96,9 @@ def test_partial_s_pi_against_series_enumeration():
 def brute_partial_pi(group, h, limit=400):
     from subembed.subgroups import product_with_normal
 
-    lat = se.normal_lattice(group)
     for series in se.chief_series_enumerate(group, limit):
         ok = True
-        for k, l in zip(series.chain, series.chain[1:]):
-            low, high = lat.nodes[k], lat.nodes[l]
+        for low, high in zip(series.chain, series.chain[1:]):
             x = product_with_normal(se.intersect(h, high), low)
             pi = prime_divisors(x.order // low.order)
             index = group.order // se.normalizer(group, x).order
@@ -157,10 +155,9 @@ def test_cap_refutation_rechecks(by_name):
     c2 = se.span(a4, [idx(a4, "(1 2)(3 4)")])
     verdict = se.cap(a4, c2)
     assert not verdict.holds
+    low, high = verdict.refutation.lower, verdict.refutation.upper
     lat = se.normal_lattice(a4)
-    low = lat.nodes[verdict.refutation.lower]
-    high = lat.nodes[verdict.refutation.upper]
-
+    assert (lat.node_id(low), lat.node_id(high)) in lat.covers
     assert not se.intersect(c2, high).is_subset_of(low)
     assert high.mask & ~product_mask(c2, low) != 0
 
@@ -311,6 +308,26 @@ def test_predicates_reject_a_subgroup_of_another_group(by_name):
 def test_recheck_rejects_an_empty_chain(by_name):
     s4 = by_name["S4"]
     assert not recheck_witness_partial_s_pi(s4, se.sylow(s4, 2), 2, ())
+
+
+def test_recheck_rejects_chains_that_are_not_chief_series_of_the_group(by_name):
+    # S4's witness for its Sylow 2-subgroup H is 1 < V4 < A4 < S4; with V4
+    # swapped for a cyclic subgroup of order 4, with A4 skipped, or with the
+    # same terms in another copy of S4, the recheck answers False
+    s4 = by_name["S4"]
+    h = se.sylow(s4, 2)
+    chain = se.partial_s_pi(s4, h, 2).witness
+    assert [s.order for s in chain] == [1, 4, 12, 24]
+    assert recheck_witness_partial_s_pi(s4, h, 2, chain)
+    c4 = se.cyclic_subgroups_of_order(h, 4)[0]
+    assert not c4.is_normal()
+    assert not recheck_witness_partial_s_pi(s4, h, 2, (chain[0], c4, *chain[2:]))
+    assert not recheck_witness_partial_s_pi(s4, h, 2, (chain[0], *chain[2:]))
+    copy = se.build(se.Sym(4))
+    other = se.normal.a_chief_series(copy).chain
+    assert [s.mask for s in other] == [s.mask for s in chain]
+    assert recheck_witness_partial_s_pi(copy, Subgroup(copy, h.mask), 2, other)
+    assert not recheck_witness_partial_s_pi(s4, h, 2, other)
 
 
 @pytest.fixture(scope="module")
@@ -781,13 +798,14 @@ def test_every_chief_series_verdict_is_pinned(corpus400, query_mix_groups, group
     import hashlib
     import json
 
-    def key(verdict):
+    def key(lat, verdict):  # each subgroup as its lattice node id
         ref = verdict.refutation
-        ref = ref and [ref.lower, ref.upper, ref.reason]
-        return [verdict.holds, verdict.witness and list(verdict.witness), ref]
+        ref = ref and [lat.node_id(ref.lower), lat.node_id(ref.upper), ref.reason]
+        return [verdict.holds, verdict.witness and [lat.node_id(s) for s in verdict.witness], ref]
 
     rows = []
     for name, group in [*corpus400, *query_mix_groups, ("(C5^2xC5^2):C3", group1875)]:
+        lat = se.normal_lattice(group)
         for p, h in se.standard_pool(group):
             verdicts = (
                 se.partial_s_pi(group, h, p),
@@ -795,7 +813,7 @@ def test_every_chief_series_verdict_is_pinned(corpus400, query_mix_groups, group
                 se.cap(group, h),
                 se.gen_cap(group, h),
             )
-            rows.append([name, p, h.order, *map(key, verdicts)])
+            rows.append([name, p, h.order, *(key(lat, v) for v in verdicts)])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert len(rows) == 968 and digest == CHIEF_VERDICTS_SHA256
 
