@@ -1,13 +1,12 @@
 """Subgroup-embedding predicates over chief series.
 
-Each chief-series predicate tests every chief factor L/K, that is, every
-cover pair (K, L) of the normal lattice. "Some chief series works"
-(``partial_s_pi``, ``partial_pi``) is single-source reachability in the
-cover-pair DAG: chief series are its maximal chains, so a path of passing
-covers from 1 to G exists iff an admissible chief series does. No chain
-is enumerated (elementary abelian groups have exponentially many); the
-path found is the witness, a chief series, bottom to top. "Every chief
-factor works" (``cap``, ``gen_cap``) scans the covers for a failing one.
+Each chief-series predicate is a rule, ``rule(group, h, lat, k, l, x)``:
+why the cover (K, L) of the normal lattice, whose section X = (H∩L)K has
+order x, fails, or None. Both evaluators read covers through ``_cover_test``.
+"Some chief series works" is reachability in the cover-pair DAG, whose
+maximal chains are the chief series, so the passing path found, bottom to
+top, is the witness; no chain is enumerated (elementary abelian groups have
+exponentially many). "Every chief factor works" scans the covers.
 
 One-series shortcut: a section strictly between K and L has |X : K| > 1
 dividing |H| and |L : K|, and no factor of prime order has one. So when no
@@ -19,28 +18,26 @@ with every cover passing, its first node at each depth is the least
 successor of the one before, and the normal lattice is modular, so each
 node has one depth. For a p-subgroup H this is G being p-supersoluble.
 
-An evaluation reads the lattice once and takes |H∩N| for every node N, one
-mask popcount each. Since (H∩L)∩K = H∩K, the section X = (H∩L)K has
-|X| = |H∩L|·|K|/|H∩K|, so each cover is decided by integer arithmetic on
-those counts and the node orders, clause by clause in this order:
+Otherwise ``_cover_test`` takes |H∩N| for every node N, one mask popcount
+each; as (H∩L)∩K = H∩K, |X| = |H∩L|·|K|/|H∩K|, so each cover is decided by
+integer arithmetic on those counts and the node orders, clause by clause:
 
 1. K ≤ X ≤ L and L/K is a chief factor, so X is K, or L, or a subgroup
    strictly between them that is not normal. X = K means H∩L ≤ K (the
    factor is avoided); X = K or X = L is normal, with normalizer index 1,
-   and passes in both evaluators. On a prime-order factor no other X arises.
-2. A strict section X is judged by two tests:
-   - Hall: no prime of |X : K| divides |L : X| (for a p-group X/K: Sylow);
-   - pi-normalizer: |G : N_G(X)| is a pi(X/K)-number.
-   ``partial_s_pi`` asks for either, ``partial_pi`` for pi-normalizer,
-   ``gen_cap`` for pi-normalizer on an abelian factor and Hall on a
-   non-abelian one; ``cap`` fails every strict section.
-3. The pi-normalizer test first reads |G : C| for C = C_G(L/K), one number
+   and passes without the rule. On a prime-order factor no other X arises.
+2. The rule judges a strict section X by two tests: Hall (``_hall_fails``:
+   no prime of |X : K| divides |L : X|; for a p-group X/K, Sylow) and
+   pi-normalizer (``_normalizer_fails``: |G : N_G(X)| is a pi(X/K)-number).
+   Of the rules, ``partial_s_pi``'s fails when both tests do, ``partial_pi``'s
+   when pi-normalizer does, ``gen_cap``'s when pi-normalizer does on an
+   abelian factor and Hall on a non-abelian one, and ``cap``'s always.
+3. The normalizer test first reads |G : C| for C = C_G(L/K), one number
    per cover. C normalizes X (x^g ∈ xK ⊆ X for g ∈ C and x ∈ X) and X is
    not normal, so |G : N_G(X)| is a divisor of |G : C| above 1: a pi-number
    when every prime of |G : C| is in pi, and not one when none is.
 4. Only when |G : C| has primes both in and outside pi is X built as a
-   product and its normalizer scanned. ``recheck_witness_partial_s_pi``
-   builds and scans every section, as an independent check.
+   product and its normalizer scanned.
 
 S-quasinormality has one test: an S-quasinormal H has H/H_G ≤ Z_inf(G/H_G)
 (Schmid, *J. Algebra* 207, 1998). Conversely each Sylow p-subgroup P/H_G of
@@ -52,7 +49,6 @@ there, and so is their join H (Kegel, *Math. Z.* 78, 1962).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -135,45 +131,68 @@ def _decided_by_centralizer(group: FiniteGroup, lat: NormalLattice, k: int, l: i
     return None
 
 
-def _non_hall_prime(lat: NormalLattice, k: int, l: int, x: int) -> int | None:
-    """The Hall test of clause 2 on a section of order x: the least prime of
-    |X : K| that divides |L : X|, or None when X/K is a Hall subgroup of L/K."""
+def _hall_fails(group, h, lat: NormalLattice, k: int, l: int, x: int) -> str | None:
+    """The Hall test on X = (H∩L)K of order x: the least prime of |X : K| dividing |L : X|."""
     index = lat.nodes[l].order // x
     for q in prime_divisors(x // lat.nodes[k].order):
         if index % q == 0:
-            return q
+            return f"|L : (H∩L)K| is divisible by {q}"
     return None
 
 
-def _normalizer_is_pi(group, h, lat, k: int, l: int, x: int) -> bool:
-    """The pi-normalizer test on X = (H∩L)K of order x: clause 3, else clause
-    4. N_G(X)/K = N_{G/K}(X/K), so the index in G is the index upstairs."""
+def _normalizer_fails(group, h, lat: NormalLattice, k: int, l: int, x: int) -> str | None:
+    """The pi-normalizer test on X = (H∩L)K of order x, pi = pi(X/K): clause
+    3, else clause 4. N_G(X)/K = N_{G/K}(X/K), so the indices agree."""
     pi = prime_divisors(x // lat.nodes[k].order)
-    decided = _decided_by_centralizer(group, lat, k, l, pi)
-    if decided is not None:
-        return decided
-    section = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])  # K is normal
-    return is_pi_number(group.order // normalizer(group, section).order, pi)
+    passes = _decided_by_centralizer(group, lat, k, l, pi)
+    if passes is None:
+        section = product_with_normal(intersect(h, lat.nodes[l]), lat.nodes[k])  # K is normal
+        passes = is_pi_number(group.order // normalizer(group, section).order, pi)
+    return None if passes else f"|G : N_G((H∩L)K)| is not a {','.join(map(str, pi))}-number"
 
 
-def _some_chief_series(group: FiniteGroup, h: Subgroup, passes) -> Verdict:
-    """Some chief series passes on every factor: a reachability search from
-    the trivial node to the top along passing cover pairs, returning the
-    first path found as the witness. A cover (K, L) passes when its section
-    X = (H∩L)K is K or L, else when ``passes(lat, k, l, |X|)`` holds."""
+def _s_pi_fails(group, h, lat: NormalLattice, k: int, l: int, x: int) -> str | None:
+    """The rule of ``partial_s_pi``: X fails both section tests."""
+    return _hall_fails(group, h, lat, k, l, x) and _normalizer_fails(group, h, lat, k, l, x)
+
+
+def _cap_fails(group, h, lat: NormalLattice, k: int, l: int, x: int) -> str:  # the rule of cap
+    return "neither covers nor avoids"
+
+
+def _gen_cap_fails(group, h, lat: NormalLattice, k: int, l: int, x: int) -> str | None:
+    """The rule of ``gen_cap``: pi-normalizer on an abelian (q-group) factor, else Hall."""
+    abelian = len(prime_divisors(lat.nodes[l].order // lat.nodes[k].order)) == 1
+    return (_normalizer_fails if abelian else _hall_fails)(group, h, lat, k, l, x)
+
+
+def _cover_test(group: FiniteGroup, h: Subgroup, rule):
+    """The lattice and ``test(k, l)``: clause 1, then ``rule``, on the cover
+    (K, L). The test is None when the one-series shortcut passes every cover."""
     lat = normal_lattice(group)
     if all(h.order % q for q in composite_chief_primes(group)):  # one-series shortcut
-        return Verdict(True, witness=a_chief_series(group).chain)
+        return lat, None
     meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
+
+    def test(k: int, l: int) -> str | None:
+        x = meet[l] * orders[k] // meet[k]
+        return None if x in (orders[k], orders[l]) else rule(group, h, lat, k, l, x)
+
+    return lat, test
+
+
+def _some_chief_series(group: FiniteGroup, h: Subgroup, rule) -> Verdict:
+    """Some chief series passes on every factor: a breadth-first search from
+    1 to G along passing covers; the first path found is the witness."""
+    lat, test = _cover_test(group, h, rule)
+    if test is None:
+        return Verdict(True, witness=a_chief_series(group).chain)
     parent, frontier, top = {0: None}, [0], lat.top
     while frontier:
         nxt = []
         for node in frontier:
             for upper in lat.up[node]:
-                if upper in parent:
-                    continue
-                x = meet[upper] * orders[node] // meet[node]
-                if x != orders[node] and x != orders[upper] and not passes(lat, node, upper, x):
+                if upper in parent or test(node, upper) is not None:
                     continue
                 parent[upper] = node
                 if upper == top:
@@ -186,19 +205,19 @@ def _some_chief_series(group: FiniteGroup, h: Subgroup, passes) -> Verdict:
     return Verdict(False)
 
 
-def _every_chief_factor(group: FiniteGroup, h: Subgroup, fails) -> Verdict:
-    """Every chief factor passes: a scan of the cover pairs that reports the
-    first failing one. A cover (K, L) passes when its section X = (H∩L)K is
-    K or L, else when ``fails(lat, k, l, |X|)`` gives no reason."""
-    lat = normal_lattice(group)
-    if all(h.order % q for q in composite_chief_primes(group)):  # one-series shortcut
-        return Verdict(True)
-    meet, orders = _meet_orders(h, lat), [node.order for node in lat.nodes]
-    for k, l in lat.covers:
-        x = meet[l] * orders[k] // meet[k]
-        if x != orders[k] and x != orders[l] and (reason := fails(lat, k, l, x)) is not None:
+def _every_chief_factor(group: FiniteGroup, h: Subgroup, rule) -> Verdict:
+    """Every chief factor passes: a scan of the covers for the first failing one."""
+    lat, test = _cover_test(group, h, rule)
+    for k, l in lat.covers if test is not None else ():
+        if (reason := test(k, l)) is not None:
             return Verdict(False, refutation=Refutation(lat.nodes[k], lat.nodes[l], reason))
     return Verdict(True)
+
+
+def _require_p_subgroup(h: Subgroup, p: int) -> None:
+    require_prime(p)
+    if p_part(h.order, p) != h.order:
+        raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
 
 
 def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
@@ -208,14 +227,9 @@ def partial_s_pi(group: FiniteGroup, h: Subgroup, p: int) -> Verdict:
     H must be a p-subgroup of G, so pi((H∩L)K/K) = {p} and Sylow is Hall."""
     require_own_subgroup(group, h)
 
-    def passes(lat: NormalLattice, k: int, l: int, x: int) -> bool:
-        return _non_hall_prime(lat, k, l, x) is None or _normalizer_is_pi(group, h, lat, k, l, x)
-
     def search() -> Verdict:  # a stored (mask, p) passed these checks
-        require_prime(p)
-        if p_part(h.order, p) != h.order:
-            raise ValueError(f"subgroup of order {h.order} is not a {p}-group")
-        return _some_chief_series(group, h, passes)
+        _require_p_subgroup(h, p)
+        return _some_chief_series(group, h, _s_pi_fails)
 
     return group.memo("partial_s_pi", (h.mask, p), search)
 
@@ -225,9 +239,7 @@ def partial_pi(group: FiniteGroup, h: Subgroup) -> Verdict:
     pi((H∩L)K/K)-number. Only 1 is an empty-pi number, which is harmless:
     an avoided factor forces X = K, normal of index 1."""
     require_own_subgroup(group, h)
-
-    passes = partial(_normalizer_is_pi, group, h)
-    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, h, passes))
+    return group.memo("partial_pi", h.mask, lambda: _some_chief_series(group, h, _normalizer_fails))
 
 
 def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
@@ -238,30 +250,15 @@ def cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     L <= HK iff X = L iff |X| = |L|: every strict section fails.
     """
     require_own_subgroup(group, h)
-
-    def fails(lat: NormalLattice, k: int, l: int, x: int) -> str:
-        return "neither covers nor avoids"
-
-    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, h, fails))
+    return group.memo("cap", h.mask, lambda: _every_chief_factor(group, h, _cap_fails))
 
 
 def gen_cap(group: FiniteGroup, h: Subgroup) -> Verdict:
     """Generalized cover-avoidance: every chief factor is avoided, or
     (q-group factor) |G : N_G((H∩L)K)| is a q-number, or (non-abelian
-    factor) |L : (H∩L)K| is coprime to every prime of (H∩L)K/K. A chief
-    factor is abelian exactly when its order is a prime power."""
+    factor) |L : (H∩L)K| is coprime to every prime of (H∩L)K/K."""
     require_own_subgroup(group, h)
-
-    def fails(lat: NormalLattice, k: int, l: int, x: int) -> str | None:
-        factor_primes = prime_divisors(lat.nodes[l].order // lat.nodes[k].order)
-        if len(factor_primes) == 1:  # a q-group factor: pi((H∩L)K/K) = {q}
-            if not _normalizer_is_pi(group, h, lat, k, l, x):
-                return f"|G : N_G((H∩L)K)| is not a {factor_primes[0]}-number"
-        elif (q := _non_hall_prime(lat, k, l, x)) is not None:
-            return f"|L : (H∩L)K| is divisible by {q}"
-        return None
-
-    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, h, fails))
+    return group.memo("gen_cap", h.mask, lambda: _every_chief_factor(group, h, _gen_cap_fails))
 
 
 def s_quasinormal(group: FiniteGroup, h: Subgroup) -> bool:
@@ -325,8 +322,10 @@ def recheck_witness_partial_s_pi(
     """Re-validate a witness chief series clause by clause (used for spot audits).
 
     The chain must run from 1 to G along covers of ``group``'s normal lattice.
-    Each section (H∩L)K is built as a product and its normalizer scanned,
-    independently of the order tests and the centralizer bound the predicate uses."""
+    Each section (H∩L)K is built as a product and its normalizer scanned, without
+    the order tests or the centralizer bound. Inputs are checked as in ``partial_s_pi``."""
+    require_own_subgroup(group, h)
+    _require_p_subgroup(h, p)
     lat = normal_lattice(group)
     ids = [lat.node_by_mask.get(s.mask) if s.group is group else None for s in chain]
     if not ids or ids[0] != 0 or ids[-1] != lat.top:

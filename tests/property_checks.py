@@ -10,6 +10,7 @@ import math
 
 import subembed as se
 from subembed.classify import f_star, is_p_nilpotent, is_p_supersoluble
+from subembed.embedding import _every_chief_factor, _normalizer_fails, _s_pi_fails
 from subembed.harness import maximal_subgroup_pool, standard_pool
 from subembed.normal import subgroup_as_group
 from subembed.subgroups import (
@@ -146,4 +147,20 @@ def derived_p_nilpotency_violations(group):
             out.append((group.name, p, "derived not p-nilpotent"))
         if se.radical_p_prime(group, p).order == 1 and not se.sylow(group, p).is_normal():
             out.append((group.name, p, "Sylow not unique"))
+    return out
+
+
+def series_forms(group):
+    """(predicate, p, |H|, some, every) for each standard-pool row of
+    ``partial_s_pi`` and ``partial_pi``: whether some chief series passes on
+    every factor (the predicate itself) and whether every one does. The
+    every-series form is ``_every_chief_factor`` with the predicate's rule,
+    so it is a read of the library's rules, not a predicate of its own."""
+    out = []
+    for p, h in standard_pool(group):
+        for name, some, rule in (
+            ("partial_s_pi", se.partial_s_pi(group, h, p), _s_pi_fails),
+            ("partial_pi", se.partial_pi(group, h), _normalizer_fails),
+        ):
+            out.append((name, p, h.order, some.holds, _every_chief_factor(group, h, rule).holds))
     return out

@@ -330,6 +330,52 @@ def test_recheck_rejects_chains_that_are_not_chief_series_of_the_group(by_name):
     assert not recheck_witness_partial_s_pi(s4, h, 2, other)
 
 
+def test_recheck_checks_its_input_as_partial_s_pi_does(by_name):
+    # with the witness of S4's Sylow 2-subgroup H, the recheck raises where
+    # the predicate does: on p = 1, 4 and 6, on p = 3 for the 2-group H, on
+    # the subgroup S3 of order 6, which is no p-group, and on a subgroup of
+    # another copy of S4
+    s4 = by_name["S4"]
+    h = se.sylow(s4, 2)
+    chain = se.partial_s_pi(s4, h, 2).witness
+    s3 = se.span(s4, [idx(s4, "(1 2)"), idx(s4, "(1 2 3)")])
+    assert s3.order == 6
+    cases = [
+        (h, 1, "1 is not prime"),
+        (h, 4, "4 is not prime"),
+        (h, 6, "6 is not prime"),
+        (h, 3, "subgroup of order 8 is not a 3-group"),
+        (s3, 2, "subgroup of order 6 is not a 2-group"),
+        (s3, 3, "subgroup of order 6 is not a 3-group"),
+        (Subgroup(se.build(se.Sym(4)), h.mask), 2, "subgroup has a different parent group"),
+    ]
+    for sub, p, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            se.partial_s_pi(s4, sub, p)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recheck_witness_partial_s_pi(s4, sub, p, chain)
+
+
+def test_section_test_reasons(by_name):
+    # the two gen-cap lines the CLI prints for <(1 2)(3 4)> in A4 and A5, and
+    # a normalizer test over two primes: S3 in A5 has |A5 : N(S3)| = 10, not
+    # a {2, 3}-number, on the one cover 1 < A5
+    from subembed.embedding import _every_chief_factor, _normalizer_fails
+
+    a4, a5 = by_name["A4"], by_name["A5"]
+    pair4, pair5 = (se.span(group, [idx(group, "(1 2)(3 4)")]) for group in (a4, a5))
+    s3 = se.span(a5, [idx(a5, "(1 2 3)"), idx(a5, "(1 2)(4 5)")])
+    assert s3.order == 6 and a5.order // se.normalizer(a5, s3).order == 10
+    cases = [
+        (se.gen_cap(a4, pair4), 4, "|G : N_G((H∩L)K)| is not a 2-number"),
+        (se.gen_cap(a5, pair5), 60, "|L : (H∩L)K| is divisible by 2"),
+        (_every_chief_factor(a5, s3, _normalizer_fails), 60, "|G : N_G((H∩L)K)| is not a 2,3-number"),
+    ]
+    for verdict, upper, reason in cases:
+        ref = verdict.refutation
+        assert (ref.lower.order, ref.upper.order, ref.reason) == (1, upper, reason)
+
+
 @pytest.fixture(scope="module")
 def section_cases(corpus400, query_mix_groups):
     """(name, group, subgroups): the standard pool of each group of order at
